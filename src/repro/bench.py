@@ -13,7 +13,10 @@ writes a machine-readable snapshot:
 * **deterministic counters** (reactions, steps, emits …) from the
   metrics run — machine-independent, gated *exactly*;
 * **DES + streaming-exporter throughput** with the exporter's resident
-  high-water mark.
+  high-water mark;
+* **bookkeeping flatness** — the rate of a reaction that wakes 1 of N
+  idle trails for N in :data:`FLAT_TRAILS`, and the leak program's rate
+  young and aged; ``--check`` holds both ratios to :data:`FLAT_FLOOR`.
 
 Snapshots are written as timestamped ``BENCH_<UTCSTAMP>.json`` files
 under ``benchmarks/`` (never the repo root) so a perf trajectory
@@ -85,6 +88,33 @@ CHECKPOINT_BUDGET = 1.05
 #: instance (telemetry attached only after the replay) must beat a cold
 #: fully-instrumented boot-and-drive to the same state by >= 5x
 WARM_SPEEDUP_MIN = 5.0
+
+#: floor on both flatness ratios (``--check``): a reaction must cost
+#: O(work), not O(idle trails) or O(program age) — waking 1 of 2048 idle
+#: trails runs at >= half the rate of waking 1 of 16, and the leak
+#: program after 10k iterations at >= half its rate after 1k
+FLAT_FLOOR = 0.5
+FLAT_TRAILS = (16, 256, 2048)
+FLAT_WAKES = 2_000
+LEAK_EARLY = 1_000
+LEAK_LATE = 10_000
+LEAK_WINDOW = 500
+
+#: the leak program: every iteration kills the trails awaiting
+#: ``forever`` and ``B``, which must leave their gates at once (§4.3)
+LEAK_PROGRAM = """\
+input void A;
+input void B;
+loop do
+   par/or do
+      await forever;
+   with
+      await B;
+   with
+      await A;
+   end
+end
+"""
 
 #: overhead ratios gated against the baseline.  The ``causal`` mode
 #: (CausalGraph subscribed) is *recorded* in snapshots but not gated:
@@ -175,6 +205,55 @@ def bench_vm(repeats: int = 3) -> dict:
         "reactions_per_s": (EVENTS + 1) / off,
         "counters": counters,
         "latency_us": latency,
+    }
+
+
+def make_idle(n: int) -> str:
+    """``n`` trails: one loops on ``A``, ``n - 1`` idle on ``Z``."""
+    idles = "\nwith\n".join("   await Z;" for _ in range(n - 1))
+    return (f"input void A;\ninput void Z;\nint n = 0;\npar do\n"
+            f"   loop do\n      await A;\n      n = n + 1;\n   end\n"
+            f"with\n{idles}\nend\n")
+
+
+def _rate(program: Program, events: int) -> float:
+    """Reactions per second of ``events`` sends of ``A``."""
+    start = time.perf_counter()
+    for _ in range(events):
+        program.send("A")
+    return events / (time.perf_counter() - start)
+
+
+def bench_flatness(repeats: int = 3) -> dict:
+    """Bookkeeping flatness: best-of-``repeats`` rates of a reaction that
+    wakes 1 of N idle trails, and of :data:`LEAK_PROGRAM` over
+    :data:`LEAK_WINDOW` ``A`` after :data:`LEAK_EARLY` and after
+    :data:`LEAK_LATE` iterations.  Both ratios are held to
+    :data:`FLAT_FLOOR` by :func:`check_regression`."""
+    programs = {n: Program(make_idle(n)) for n in FLAT_TRAILS}
+    for program in programs.values():
+        program.start()
+    wake = dict.fromkeys(FLAT_TRAILS, 0.0)
+    early = late = 0.0
+    for _ in range(repeats):
+        for n, program in programs.items():
+            wake[n] = max(wake[n], _rate(program, FLAT_WAKES))
+        leak = Program(LEAK_PROGRAM)
+        leak.start()
+        _rate(leak, LEAK_EARLY)
+        early = max(early, _rate(leak, LEAK_WINDOW))
+        _rate(leak, LEAK_LATE - LEAK_EARLY - LEAK_WINDOW)
+        late = max(late, _rate(leak, LEAK_WINDOW))
+    few, many = FLAT_TRAILS[0], FLAT_TRAILS[-1]
+    return {
+        "workload": {"trails": list(FLAT_TRAILS), "wakes": FLAT_WAKES,
+                     "leak_iterations": [LEAK_EARLY, LEAK_LATE],
+                     "leak_window": LEAK_WINDOW},
+        "wake_1_of_n_per_s": {str(n): rate for n, rate in wake.items()},
+        "leak_per_s": {str(LEAK_EARLY): early, str(LEAK_LATE): late},
+        "ratios": {f"wake_{many}_vs_{few}": wake[many] / wake[few],
+                   f"leak_{LEAK_LATE}_vs_{LEAK_EARLY}": late / early},
+        "floor": FLAT_FLOOR,
     }
 
 
@@ -684,6 +763,7 @@ def snapshot(repeats: int = 3, farm: bool = False,
         "machine": platform.machine(),
         "vm": bench_vm(repeats),
         "stream": stream,
+        "flatness": bench_flatness(repeats),
     }
     if farm:
         snap["farm"] = bench_farm()
@@ -717,7 +797,9 @@ def check_regression(snap: dict, baseline: dict,
     * each instrumentation-overhead ratio must stay within
       ``tolerance`` (relative) of the baseline ratio, and the detached
       ratio additionally below an absolute cap — a detached bus must
-      stay indistinguishable from one that never had subscribers.
+      stay indistinguishable from one that never had subscribers;
+    * each bookkeeping-flatness ratio must reach :data:`FLAT_FLOOR`
+      (absolute, like the serving budget: no baseline needed).
     """
     problems: list[str] = []
     base_counters = baseline.get("vm", {}).get("counters", {})
@@ -749,6 +831,11 @@ def check_regression(snap: dict, baseline: dict,
             and flush and resident > flush):
         problems.append(f"stream resident_high {resident} exceeds "
                         f"flush_every {flush}: streaming is buffering")
+    for key, got in snap.get("flatness", {}).get("ratios", {}).items():
+        if got < FLAT_FLOOR:
+            problems.append(f"flatness {key}: {got:.2f} below the "
+                            f"{FLAT_FLOOR:.2f} floor — bookkeeping grows "
+                            f"with idle trails or program age")
     return problems
 
 
@@ -772,6 +859,10 @@ def main(args) -> int:
           + ", ".join(f"{k}={vm['ratios'][k]:.2f}" for k in RATIO_KEYS))
     print(f"stream: {snap['stream']['records_per_s']:.0f} records/s, "
           f"resident high {snap['stream']['resident_high']}")
+    flat = snap["flatness"]
+    print("flatness: " + ", ".join(f"{k}={v:.2f}"
+                                   for k, v in flat["ratios"].items())
+          + f" (floor {flat['floor']:.2f})")
     if with_farm:
         farm = snap["farm"]
         farm_path = out_dir / FARM_PATH.name if args.out else FARM_PATH
@@ -877,7 +968,8 @@ def main(args) -> int:
     return 0
 
 
-__all__ = ["SCHEMA", "bench_vm", "bench_stream", "bench_farm",
+__all__ = ["SCHEMA", "bench_vm", "bench_stream", "bench_flatness",
+           "bench_farm",
            "bench_analysis", "bench_serve", "bench_checkpoint",
            "snapshot", "write_snapshot", "check_regression",
            "make_fanout"]

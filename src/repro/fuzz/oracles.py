@@ -17,7 +17,11 @@ Backends and oracles:
   memory, and output;
 * **analyses** — parse/bind/§2.5 must accept every generated program,
   the §2.6 temporal analysis classifies it, and an accepted program must
-  never crash the runtime.
+  never crash the runtime;
+* **static bounds** — the replay run's high-water marks stay within
+  ``compute_bounds``, and after every reaction the VM's own bookkeeping
+  (awaiting counter, waiting gates, timer heap) agrees with a recount
+  and stays within the same bounds (§4.3 static memory).
 
 `check_case` stacks them and returns the list of
 :class:`OracleFailure` records (empty = all oracles agree).
@@ -36,7 +40,9 @@ from typing import Callable, Optional
 from ..dfa import build_dfa
 from ..lang import parse
 from ..lang.errors import CeuError
+from ..obs.hooks import HookSubscriber
 from ..runtime import Program
+from ..runtime.scheduler import AWAITING
 from ..sema import bind, check_bounded
 from .gen import GenCase, script_text
 
@@ -66,6 +72,7 @@ class RunResult:
     psig: Optional[tuple] = None       # portable cross-backend signature
     memory: Optional[dict] = None      # final memory snapshot (VM only)
     stats: Optional[dict] = None       # metrics snapshot (VM, observe=True)
+    bookkeeping: Optional[dict] = None  # first audit violation (VM, audit=)
 
     def observable(self) -> tuple:
         """The cross-backend comparison key (no-return normalises to 0)."""
@@ -85,20 +92,68 @@ def drive_vm(program: Program, script: Script) -> None:
             program.at(item[1])
 
 
+def bookkeeping_violations(sched, bounds) -> dict:
+    """The VM's bookkeeping at a reaction boundary against a recount and
+    the static bounds; returns ``{check: details}`` (empty = sound):
+
+    * ``awaiting_count()`` equals a recount over the live trails;
+    * the ext, int and ``forever`` gates hold no dead trail and at most
+      ``max_trails`` entries;
+    * the timer heap holds at most ``2 * max_armed_timers + 1`` entries
+      (killed entries are compacted once they outnumber armed ones)."""
+    out: dict = {}
+    recount = sum(1 for t in sched._live if t.waiting in AWAITING)
+    if sched.awaiting_count() != recount:
+        out["awaiting"] = {"counter": sched.awaiting_count(),
+                           "recount": recount}
+    gates = [*sched.ext_waiting.values(), *sched.int_waiting.values(),
+             sched.forever]
+    dead = sum(1 for gate in gates for t in gate if not t.alive)
+    if dead:
+        out["dead_in_gates"] = dead
+    entries = sum(len(gate) for gate in gates)
+    if entries > bounds.max_trails:
+        out["gate_entries"] = {"observed": entries,
+                               "bound": bounds.max_trails}
+    cap = 2 * bounds.max_armed_timers + 1
+    if len(sched.timers) > cap:
+        out["timer_heap"] = {"observed": len(sched.timers), "bound": cap}
+    return out
+
+
+class BookkeepingAudit(HookSubscriber):
+    """Runs :func:`bookkeeping_violations` after every reaction and keeps
+    the first violation, tagged with its reaction index."""
+
+    def __init__(self, sched, bounds):
+        self.sched = sched
+        self.bounds = bounds
+        self.violation: Optional[dict] = None
+
+    def on_reaction_end(self, index, trigger, steps, wall_ns) -> None:
+        if self.violation is None:
+            found = bookkeeping_violations(self.sched, self.bounds)
+            if found:
+                self.violation = {"reaction": index, **found}
+
+
 def run_vm(src: str, script: Script, trace: bool = True,
            observe: bool = False,
-           reverse_seeds: bool = False) -> RunResult:
+           reverse_seeds: bool = False, audit=None) -> RunResult:
     """Execute on the reference VM; any exception is the caller's bug.
 
     ``observe`` attaches the metrics collector and fills ``stats`` (the
     static-bounds oracle reads the high-water gauges); ``reverse_seeds``
     flips every intra-reaction seeding order the semantics leaves open
-    (the schedule-independence oracle).
+    (the schedule-independence oracle); ``audit`` (static bounds) checks
+    the bookkeeping after every reaction and fills ``bookkeeping``.
     """
     res = RunResult(backend="vm")
     try:
         program = Program(src, trace=trace, observe=observe,
                           reverse_seeds=reverse_seeds)
+        auditor = None if audit is None else program.observe(
+            BookkeepingAudit(program.sched, audit))
         drive_vm(program, script)
     except Exception:
         res.ok = False
@@ -113,6 +168,8 @@ def run_vm(src: str, script: Script, trace: bool = True,
     res.memory = program.sched.memory.snapshot()
     if observe:
         res.stats = program.stats()
+    if auditor is not None:
+        res.bookkeeping = auditor.violation
     return res
 
 
@@ -452,9 +509,15 @@ def check_case(case: GenCase, workdir=None, use_c: bool = True,
         return verdict, failures
 
     # 3. §2.8 replay determinism: same inputs, bit-identical behaviour
-    #    (the replay run carries the metrics collector for oracle 4 —
-    #    observation is passive and must not perturb the signature)
-    vm2 = run_vm(case.src, case.script, observe=True)
+    #    (the replay run carries the metrics collector and the
+    #    bookkeeping audit for oracle 4 — observation is passive and must
+    #    not perturb the signature)
+    bounds = None
+    if dfa is not None:
+        from ..analysis.bounds import compute_bounds
+
+        bounds = compute_bounds(bound, dfa)
+    vm2 = run_vm(case.src, case.script, observe=True, audit=bounds)
     if not vm2.ok:
         fail("vm-crash", error=vm2.error, verdict=verdict, replay=True)
         return verdict, failures
@@ -465,16 +528,16 @@ def check_case(case: GenCase, workdir=None, use_c: bool = True,
              second={"output": vm2.output, "result": vm2.result})
 
     # 4. static resource bounds dominate the observed high-water marks
-    #    (sound for accepted AND refused programs: the DFA still covers
-    #    every path, it merely also found a conflict)
-    if dfa is not None and vm2.stats is not None:
-        from ..analysis.bounds import compute_bounds
-
-        bounds = compute_bounds(bound, dfa)
+    #    and the bookkeeping after every reaction (sound for accepted AND
+    #    refused programs: the DFA still covers every path, it merely
+    #    also found a conflict)
+    if bounds is not None and vm2.stats is not None:
         violations = bounds_violations(bounds, vm2.stats)
-        if violations:
+        if violations or vm2.bookkeeping:
+            extra = {"bookkeeping": vm2.bookkeeping} \
+                if vm2.bookkeeping else {}
             fail("static-bounds", violations=violations,
-                 bounds=bounds.as_dict(), verdict=verdict)
+                 bounds=bounds.as_dict(), verdict=verdict, **extra)
 
     # 5. schedule independence: a statically-clean program must behave
     #    identically under every seeding order the semantics leaves open

@@ -27,21 +27,17 @@ _job_seq = itertools.count(1)
 class AsyncJob:
     """One executing ``async`` block."""
 
-    __slots__ = ("node", "owner", "path", "gen", "done", "aborted",
-                 "result", "seq")
+    __slots__ = ("node", "owner", "gen", "done", "aborted", "result",
+                 "seq")
 
     def __init__(self, node: ast.AsyncBlock, owner: Trail, gen):
         self.node = node
         self.owner = owner
-        self.path = owner.path
         self.gen = gen
         self.done = False
         self.aborted = False
         self.result: Any = None
         self.seq = next(_job_seq)
-
-    def in_region(self, prefix: tuple) -> bool:
-        return self.path[:len(prefix)] == prefix
 
 
 class AsyncInterp:

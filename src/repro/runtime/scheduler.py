@@ -9,10 +9,11 @@ The scheduler exposes the paper's four-entry C API:
 * :meth:`go_async` — one round-robin step of one ``async`` block, whose
   emits tail-call back into ``go_event``/``go_time`` (§4.5).
 
-Within a reaction chain, runnable items live in a single priority queue.
-Normal awakenings run first; rejoin/termination continuations of parallel
-compositions and loops run later, **the outer the construct, the lower the
-priority** (§4.1) — the glitch-avoidance order of the paper's flow graph.
+Within a reaction chain, normal awakenings run first, in FIFO order off a
+ready queue; rejoin/termination continuations of parallel compositions and
+loops wait in a priority heap and run later, **the outer the construct, the
+lower the priority** (§4.1) — the glitch-avoidance order of the paper's flow
+graph.
 Internal events are *not* queued: an ``emit`` runs its awaiting trails to
 halt synchronously and only then resumes the emitter — the stack policy of
 §2.2, realised here directly on the Python call stack.
@@ -24,6 +25,7 @@ import heapq
 import itertools
 import time
 from collections import deque
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from ..lang import ast
@@ -43,6 +45,9 @@ from .trails import BreakSignal, EscapeJoin, Join, ReturnSignal, Trail
 #: status codes, mirroring the paper's C API returns
 RUNNING = "running"
 TERMINATED = "terminated"
+
+#: suspension kinds that count as *awaiting* (§3.1)
+AWAITING = frozenset(("ext", "int", "time", "forever"))
 
 
 class Scheduler:
@@ -91,14 +96,20 @@ class Scheduler:
         #: inspectable exactly after ``pause_at`` completed reactions
         self.pause_at: Optional[int] = None
 
-        # awaiting registries ("gates", §4.3)
-        self.ext_waiting: dict[str, list[Trail]] = {}
-        self.int_waiting: dict[str, list[Trail]] = {}
-        self.forever: list[Trail] = []
+        # awaiting registries ("gates", §4.3): insertion-ordered sets
+        # (dicts keyed by trail) that a killed trail leaves at once
+        self.ext_waiting: dict[str, dict[Trail, None]] = {}
+        self.int_waiting: dict[str, dict[Trail, None]] = {}
+        self.forever: dict[Trail, None] = {}
         #: heap of (deadline, arming_base, computed?, seq, trail) — the
         #: base/computed components partition coincident deadlines into
-        #: per-epoch reactions (see :meth:`go_time`)
+        #: per-epoch reactions (see :meth:`go_time`).  Killed entries stay
+        #: until they outnumber the armed ones (:meth:`_compact_timers`)
         self.timers: list[tuple[int, int, int, int, Trail]] = []
+        self._dead_timers = 0
+        #: live trails whose ``waiting`` is in :data:`AWAITING`, kept at
+        #: halt, resume and kill
+        self._awaiting = 0
         self.async_jobs: deque[AsyncJob] = deque()
         self.input_queue: deque[tuple[str, Any]] = deque()
         self.output_handler: Optional[Callable[[str, Any], None]] = None
@@ -113,7 +124,12 @@ class Scheduler:
         self.journal: Optional[list[tuple]] = None
         self._drive_depth = 0
 
-        # reaction-chain state
+        # reaction-chain state: resumes ``(trail, value)`` run FIFO off
+        # ``_ready`` before the heap of (priority, seq, Join|EscapeJoin)
+        # continuations; without glitch-free priorities all share the FIFO.
+        # The FIFO is a list read by index and cleared after the reaction:
+        # an idle one costs a farm instance 56 bytes, a deque ~760
+        self._ready: list = []
         self._heap: list = []
         self._seq = itertools.count()
         self._region_seq = itertools.count(1)
@@ -121,7 +137,7 @@ class Scheduler:
         self._current_base = 0
         self._steps_this_reaction = 0
         self._emit_depth = 0               # §2.2 emit-stack depth
-        self._live: set[Trail] = set()
+        self._live: dict[Trail, None] = {}  # spawn order
         self.root: Optional[Trail] = None
 
         self._depth = self._compute_depths()
@@ -198,7 +214,7 @@ class Scheduler:
         trail = Trail(gen=None, path=(), parent_join=None, label="main")
         trail.gen = self.interp.trail_body(self.bound.program.body, trail)
         self.root = trail
-        self._live.add(trail)
+        self._live[trail] = None
         if self.hooks.enabled:
             self.hooks.trail_spawn(trail.label, trail.path, self.clock)
             trail.wake_cause = self.hooks.last_span
@@ -233,13 +249,11 @@ class Scheduler:
         self._drive_depth += 1
 
         def seed() -> None:
-            waiting = self.ext_waiting.get(name, [])
-            self.ext_waiting[name] = []
-            if self.reverse_seeds:
-                waiting = list(reversed(waiting))
-            for trail in waiting:
-                if trail.alive:
-                    self._enqueue_resume(trail, value)
+            gate = self.ext_waiting.pop(name, None)
+            if gate:
+                ready = self._ready
+                for trail in reversed(gate) if self.reverse_seeds else gate:
+                    ready.append((trail, value))
 
         try:
             self._react(f"event:{name}", value, seed)
@@ -284,10 +298,15 @@ class Scheduler:
             # epoch per `fire_timer`, one `tunk` per `fire_unknown_timer`),
             # so its per-reaction bounds hold for the concrete scheduler.
             popped: list[tuple[int, int, int, Trail]] = []
-            while self.timers and self.timers[0][0] == deadline:
-                _, base, computed, seq, trail = heapq.heappop(self.timers)
+            timers = self.timers
+            while timers and timers[0][0] == deadline:
+                _, base, computed, seq, trail = heapq.heappop(timers)
                 if trail.alive and trail.waiting == "time":
+                    trail.gate = None
                     popped.append((computed, base, seq, trail))
+                else:
+                    self._dead_timers -= 1
+            self._compact_timers()
             # most recently armed epoch first (the freshly re-armed short
             # timer beats the long-armed watchdog expiring with it),
             # computed timeouts last
@@ -400,19 +419,13 @@ class Scheduler:
         return bool(self.input_queue or self.async_jobs) and not self.done
 
     def awaiting_count(self) -> int:
-        ext = sum(1 for lst in self.ext_waiting.values()
-                  for t in lst if t.alive)
-        internal = sum(1 for lst in self.int_waiting.values()
-                       for t in lst if t.alive)
-        # count timer waiters from the live set, not the heap: go_time
-        # pops every same-deadline entry before running the per-epoch
-        # partitions, so between two coincident-deadline reactions a
-        # still-waiting trail has no heap entry — counting the heap
-        # would declare quiescence with a resume still owed
-        timers = sum(1 for t in self._live
-                     if t.alive and t.waiting == "time")
-        forever = sum(1 for t in self.forever if t.alive)
-        return ext + internal + timers + forever
+        """Live trails halted on an event, a timer or ``forever``.  A
+        timer waiter counts by its ``waiting`` kind, not by a heap entry:
+        go_time pops every same-deadline entry before running the
+        per-epoch partitions, so between two coincident-deadline
+        reactions a still-waiting trail has no heap entry — counting the
+        heap would declare quiescence with a resume still owed."""
+        return self._awaiting
 
     def next_deadline(self) -> Optional[int]:
         """Earliest pending wall-clock deadline (for platform drivers)."""
@@ -443,17 +456,26 @@ class Scheduler:
             self.hooks.cause = self.hooks.last_span
         try:
             seed()
-            while self._heap and not self.done:
-                _, _, kind, payload = heapq.heappop(self._heap)
-                if kind == "resume":
-                    trail, send_value = payload
+            ready, heap = self._ready, self._heap
+            head = 0
+            while not self.done:
+                if head < len(ready):
+                    item = ready[head]
+                    head += 1
+                elif heap:
+                    item = heapq.heappop(heap)[2]
+                else:
+                    break
+                if type(item) is tuple:
+                    trail, send_value = item
                     if trail.alive:
                         self._run_trail(trail, send_value)
-                elif kind == "join":
-                    self._dispatch_join(payload)
-                else:  # escape
-                    self._dispatch_escape(payload)
+                elif type(item) is Join:
+                    self._dispatch_join(item)
+                else:
+                    self._dispatch_escape(item)
         finally:
+            self._ready.clear()
             self._heap.clear()
             self._reacting = False
             if hooked:
@@ -464,17 +486,25 @@ class Scheduler:
         self._check_termination()
 
     def _enqueue_resume(self, trail: Trail, value: Any) -> None:
-        heapq.heappush(self._heap,
-                       ((0, 0), next(self._seq), "resume", (trail, value)))
+        self._ready.append((trail, value))
+
+    def _enqueue_continuation(self, depth: int,
+                              item: Join | EscapeJoin) -> None:
+        """Queue a rejoin or escape of a construct at nesting ``depth``:
+        after every resume, the outer the later (§4.1).  Without
+        glitch-free priorities it queues FIFO with the resumes."""
+        if self.hooks.enabled:
+            # causal parent of the deferred continuation: the halt of
+            # the branch that enqueued it (the dispatch may run much
+            # later in the reaction, under a different context)
+            item.cause = self.hooks.last_span
+        if self.glitch_free:
+            heapq.heappush(self._heap, (-depth, next(self._seq), item))
+        else:
+            self._ready.append(item)
 
     def _enqueue_join(self, join: Join) -> None:
-        prio = (1, -self.depth(join.node)) if self.glitch_free else (0, 0)
-        if self.hooks.enabled:
-            # causal parent of the deferred rejoin: the halt of the
-            # branch whose completion enqueued it (the dispatch may run
-            # much later in the reaction, under a different context)
-            join.cause = self.hooks.last_span
-        heapq.heappush(self._heap, (prio, next(self._seq), "join", join))
+        self._enqueue_continuation(self.depth(join.node), join)
 
     def _enqueue_escape(self, trail: Trail, signal: Exception) -> None:
         if isinstance(signal, BreakSignal):
@@ -482,14 +512,10 @@ class Scheduler:
         else:
             boundary = signal.boundary  # type: ignore[attr-defined]
             target_depth = self.depth(boundary)
-        prio = (1, -target_depth) if self.glitch_free else (0, 0)
-        ej = EscapeJoin(trail, signal)
-        if self.hooks.enabled:
-            ej.cause = self.hooks.last_span
-        heapq.heappush(self._heap, (prio, next(self._seq), "escape", ej))
+        self._enqueue_continuation(target_depth, EscapeJoin(trail, signal))
 
     def _dispatch_join(self, join: Join) -> None:
-        if join.cancelled or not join.owner.alive:
+        if not join.owner.alive:  # killed with its region
             return
         hooked = self.hooks.enabled
         if hooked:
@@ -497,24 +523,22 @@ class Scheduler:
             if join.cause:
                 self.hooks.cause = join.cause
         if join.mode == "or" or join.has_value:
-            self.kill_region(join.region)
+            self.kill_region(join)
         value = join.value if join.has_value else 0
         self._run_trail(join.owner, ("done", value))
         if hooked:
             self.hooks.cause = prev_cause
 
     def _dispatch_escape(self, ej: EscapeJoin) -> None:
-        if ej.cancelled:
-            return
         join = ej.trail.parent_join
-        if join is None:  # pragma: no cover - guarded at enqueue time
+        if join.killed:  # an earlier kill already destroyed its region
             return
         hooked = self.hooks.enabled
         if hooked:
             prev_cause = self.hooks.cause
             if ej.cause:
                 self.hooks.cause = ej.cause
-        self.kill_region(join.region)
+        self.kill_region(join)
         owner = join.owner
         if owner.alive:
             self._run_trail(owner, ("escape", ej.signal))
@@ -524,7 +548,9 @@ class Scheduler:
     # --------------------------------------------------------- trail steps
     def _run_trail(self, trail: Trail, value: Any) -> None:
         """Run one trail until it halts (one atomic *track*, §4.4)."""
-        trail.waiting = None
+        if trail.waiting in AWAITING:
+            self._awaiting -= 1
+        trail.waiting = trail.gate = None
         trail.time_base = self._current_base
         hooks = self.hooks
         hooked = hooks.enabled
@@ -567,10 +593,12 @@ class Scheduler:
     def _register(self, trail: Trail, req: tuple) -> None:
         kind = req[0]
         trail.waiting = kind
-        if kind == "ext":
-            self.ext_waiting.setdefault(req[1].name, []).append(trail)
-        elif kind == "int":
-            self.int_waiting.setdefault(req[1].name, []).append(trail)
+        if kind == "ext" or kind == "int":
+            table = self.ext_waiting if kind == "ext" else self.int_waiting
+            gate = table.get(req[1].name)
+            if gate is None:
+                gate = table[req[1].name] = {}
+            gate[trail] = None
         elif kind == "time":
             timeout = req[1]
             if timeout < 0:
@@ -578,23 +606,34 @@ class Scheduler:
             computed = 1 if len(req) > 2 and req[2] else 0
             base = trail.time_base if self.compensate_deltas else self.clock
             deadline = base + timeout
-            heapq.heappush(self.timers,
-                           (deadline, base, computed, next(self._seq),
-                            trail))
+            gate = self.timers
+            heapq.heappush(gate, (deadline, base, computed,
+                                  next(self._seq), trail))
             if self.hooks.enabled:
                 self.hooks.timer_schedule(deadline, trail.label, self.clock)
                 trail.wake_cause = self.hooks.last_span
             # an already-late deadline is picked up by the next go_time
         elif kind == "forever":
-            self.forever.append(trail)
+            gate = self.forever
+            gate[trail] = None
         elif kind in ("par", "async"):
-            pass  # join/job structures hold the owner
+            trail.gate = req[1]  # the Join / AsyncJob holds the owner
+            return
         else:  # pragma: no cover - interpreter invariant
             raise RuntimeCeuError(f"unknown suspension {kind!r}")
+        trail.gate = gate
+        self._awaiting += 1
+
+    def _retire(self, trail: Trail) -> None:
+        """A trail dies: it leaves the live set and its join's branches
+        (so dead trails form no cycle with their join)."""
+        trail.alive = False
+        del self._live[trail]
+        if trail.parent_join is not None:
+            del trail.parent_join.branches[trail]
 
     def _trail_completed(self, trail: Trail) -> None:
-        trail.alive = False
-        self._live.discard(trail)
+        self._retire(trail)
         join = trail.parent_join
         if join is None:
             return  # root trail finished; liveness check decides the rest
@@ -609,8 +648,7 @@ class Scheduler:
         # plain `par` never rejoins: the trail simply dies
 
     def _trail_signal(self, trail: Trail, sig: Exception) -> None:
-        trail.alive = False
-        self._live.discard(trail)
+        self._retire(trail)
         join = trail.parent_join
         if join is None:
             if isinstance(sig, ReturnSignal):
@@ -642,44 +680,62 @@ class Scheduler:
             child = Trail(gen=None, path=region + (i,), parent_join=join,
                           branch_index=i, label=label)
             child.gen = self.interp.trail_body(block, child)
-            self._live.add(child)
+            join.branches[child] = None
+            self._live[child] = None
             if self.hooks.enabled:
                 self.hooks.trail_spawn(child.label, child.path, self.clock)
                 child.wake_cause = self.hooks.last_span
             self._enqueue_resume(child, None)
         return join
 
-    def kill_region(self, prefix: tuple) -> None:
-        """Destroy every trail/async in ``prefix`` — the VM analogue of
-        clearing a contiguous gate range with ``memset`` (§4.3)."""
-        victims = [t for t in self._live if t.in_region(prefix)]
+    def kill_region(self, join: Join) -> None:
+        """Destroy every trail/async under ``join`` — the VM analogue of
+        clearing a contiguous gate range with ``memset`` (§4.3).  Walks
+        the join's tree of live branches through the trails halted on a
+        nested ``par``, so the cost is the number of victims; they die in
+        spawn order.  Marking each walked join ``killed`` voids the escapes
+        still queued from its branches; a queued rejoin of a nested join
+        is voided by its owner's death."""
+        victims: list[Trail] = []
+        stack = [join]
+        while stack:
+            region = stack.pop()
+            region.killed = True
+            for trail in region.branches:
+                victims.append(trail)
+                if trail.waiting == "par":
+                    stack.append(trail.gate)
+        if not victims:
+            return
+        victims.sort(key=attrgetter("seq"))  # spawn order
         hooked = self.hooks.enabled
-        if hooked and victims:
-            self.hooks.region_kill(prefix, len(victims), self.clock)
+        if hooked:
+            self.hooks.region_kill(join.region, len(victims), self.clock)
             # the region kill is the cause of each trail's death
             prev_cause = self.hooks.cause
             self.hooks.cause = self.hooks.last_span
+        aborted = False
         for trail in victims:
-            trail.alive = False
-            self._live.discard(trail)
+            self._retire(trail)
             trail.gen.close()
+            kind, gate = trail.waiting, trail.gate
+            trail.gate = None
+            if kind in AWAITING:
+                self._awaiting -= 1
+                if kind != "time":
+                    del gate[trail]
+                elif gate is not None:  # its entry is still in the heap
+                    self._dead_timers += 1
+            elif kind == "async":
+                gate.aborted = aborted = True
             if hooked:
                 self.hooks.trail_kill(trail.label, trail.path, self.clock)
-        if hooked and victims:
+        if hooked:
             self.hooks.cause = prev_cause
-        if self.async_jobs:
-            kept = deque()
-            for job in self.async_jobs:
-                if job.in_region(prefix):
-                    job.aborted = True
-                else:
-                    kept.append(job)
-            self.async_jobs = kept
-        for item in self._heap:
-            if item[2] == "escape" and item[3].trail.in_region(prefix):
-                item[3].cancelled = True
-            elif item[2] == "join" and item[3].owner.in_region(prefix):
-                item[3].cancelled = True
+        if aborted:
+            self.async_jobs = deque(job for job in self.async_jobs
+                                    if not job.aborted)
+        self._compact_timers()
 
     # ------------------------------------------------------ internal events
     def emit_internal(self, sym: EventSymbol, value: Any,
@@ -698,13 +754,14 @@ class Scheduler:
             prev_cause = self.hooks.cause
             self.hooks.cause = self.hooks.last_span
         try:
-            waiting = self.int_waiting.get(sym.name)
+            waiting = self.int_waiting.pop(sym.name, None)
             if not waiting:
                 return  # no one awaiting: the occurrence is discarded
-            self.int_waiting[sym.name] = []
+            # a snapshot: a woken trail may kill (unlink) a later one
+            order = list(waiting)
             if self.reverse_seeds:
-                waiting = list(reversed(waiting))
-            for trail in waiting:
+                order.reverse()
+            for trail in order:
                 if trail.alive and trail.waiting == "int":
                     self._run_trail(trail, value)
         finally:
@@ -759,28 +816,45 @@ class Scheduler:
 
     # ------------------------------------------------------------- helpers
     def _next_deadline(self) -> Optional[int]:
-        while self.timers:
-            entry = self.timers[0]
+        timers = self.timers
+        while timers:
+            entry = timers[0]
             if entry[-1].alive and entry[-1].waiting == "time":
                 return entry[0]
-            heapq.heappop(self.timers)
+            heapq.heappop(timers)
+            self._dead_timers -= 1
         return None
+
+    def _compact_timers(self) -> None:
+        """Drop the killed entries once they outnumber the armed ones, so
+        ``len(timers) <= 2 * armed + 1``.  Entries are totally ordered by
+        ``(deadline, base, computed, seq)``: re-heapifying leaves the pop
+        order unchanged.  Each compaction removes at least half the heap,
+        all of it killed entries, so its cost is O(1) per kill."""
+        timers = self.timers
+        if self._dead_timers > len(timers) - self._dead_timers:
+            timers[:] = [entry for entry in timers if entry[-1].alive]
+            heapq.heapify(timers)
+            self._dead_timers = 0
 
     def _terminate(self, value: Any) -> None:
         self.done = True
         self.result = value
+        self._ready.clear()
         self._heap.clear()
         hooked = self.hooks.enabled
-        for trail in list(self._live):
+        for trail in self._live:
             trail.alive = False
             trail.gen.close()
             if hooked:
                 self.hooks.trail_kill(trail.label, trail.path, self.clock)
         self._live.clear()
+        self._awaiting = 0
         self.ext_waiting.clear()
         self.int_waiting.clear()
         self.forever.clear()
         self.timers.clear()
+        self._dead_timers = 0
         for job in self.async_jobs:
             job.aborted = True
         self.async_jobs.clear()

@@ -46,12 +46,17 @@ _trail_seq = itertools.count(1)
 
 class Trail:
     """One line of execution.  ``path`` encodes the spawn tree: each
-    parallel composition contributes ``(region_id, branch_index)`` — a
-    region kill is a path-prefix test, the VM analogue of the paper's
-    contiguous-gate ``memset`` destruction (§4.3)."""
+    parallel composition contributes ``(region_id, branch_index)``.
+
+    ``gate`` is what a halted trail is registered on, by ``waiting``
+    kind: its insertion-ordered waiting set (``ext``/``int``/
+    ``forever``), the timer heap while its entry is in it (``time``),
+    its active :class:`Join` (``par``) or its ``AsyncJob`` (``async``).
+    A kill follows it to unlink the trail in O(1) — the VM analogue of
+    the paper's per-await gates (§4.3)."""
 
     __slots__ = ("gen", "path", "parent_join", "branch_index", "alive",
-                 "started", "time_base", "waiting", "seq", "label",
+                 "started", "time_base", "waiting", "gate", "seq", "label",
                  "wake_cause")
 
     def __init__(self, gen, path: tuple, parent_join: Optional["Join"],
@@ -67,15 +72,13 @@ class Trail:
         #: current suspension kind, for traces: None while running,
         #: else "ext"/"int"/"time"/"forever"/"par"/"async"
         self.waiting: Optional[str] = None
+        self.gate: Any = None
         self.seq = next(_trail_seq)
         self.label = label or f"t{self.seq}"
         #: causality (docs/OBSERVABILITY.md): span id of the occurrence
         #: that registered the pending wakeup — the await / timer arm /
         #: spawn — published on the bus when the trail next resumes
         self.wake_cause = 0
-
-    def in_region(self, prefix: tuple) -> bool:
-        return self.path[:len(prefix)] == prefix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self.alive else "dead"
@@ -93,11 +96,12 @@ class Join:
     region: tuple             # owner.path + (region_id,)
     depth: int                # syntactic nesting depth (priority)
     n_branches: int
+    branches: dict = field(default_factory=dict)  # live branches, spawn order
     completed: set = field(default_factory=set)   # branch indices done
     or_enqueued: bool = False
     value: Any = None         # first `return` value (value-boundary pars)
     has_value: bool = False
-    cancelled: bool = False
+    killed: bool = False      # region destroyed: its pending escapes void
     cause: int = 0            # span of the completion that enqueued it
 
     def branch_done(self, index: int) -> bool:
@@ -113,5 +117,4 @@ class EscapeJoin:
 
     trail: Trail              # the trail whose generator raised the signal
     signal: Exception         # BreakSignal | ReturnSignal
-    cancelled: bool = False
     cause: int = 0            # span of the escape that enqueued it

@@ -97,6 +97,17 @@ class TestRegressionGate:
         problems = bench.check_regression(snap, baseline, tolerance=0.5)
         assert any("detached_vs_off" in p for p in problems)
 
+    def test_flatness_floor_is_absolute(self):
+        """A flatness ratio under the floor fails with no baseline entry
+        (the committed baseline predates the section)."""
+        snap = self.base()
+        snap["flatness"] = {"ratios": {"wake_2048_vs_16": 0.3,
+                                       "leak_10000_vs_1000": 0.9}}
+        problems = bench.check_regression(snap, self.base())
+        assert len(problems) == 1 and "wake_2048_vs_16" in problems[0]
+        snap["flatness"]["ratios"]["wake_2048_vs_16"] = bench.FLAT_FLOOR
+        assert bench.check_regression(snap, self.base()) == []
+
     def test_missing_ratio_is_flagged(self):
         snap = self.base()
         del snap["vm"]["ratios"]["metrics_vs_off"]
@@ -158,6 +169,24 @@ class TestCli:
         finally:
             bench.TRAILS, bench.EVENTS, bench.DES_EVENTS = saved
         assert rc == 1
+
+
+class TestFlatnessSection:
+    def test_flatness_section_shape(self, monkeypatch):
+        """Shrunk sizes: the shape only.  The floors themselves run at
+        full size under ``repro bench --check``."""
+        monkeypatch.setattr(bench, "FLAT_TRAILS", (4, 32))
+        monkeypatch.setattr(bench, "FLAT_WAKES", 50)
+        monkeypatch.setattr(bench, "LEAK_EARLY", 20)
+        monkeypatch.setattr(bench, "LEAK_LATE", 100)
+        monkeypatch.setattr(bench, "LEAK_WINDOW", 20)
+        section = bench.bench_flatness(repeats=1)
+        assert set(section["wake_1_of_n_per_s"]) == {"4", "32"}
+        assert set(section["leak_per_s"]) == {"20", "100"}
+        assert set(section["ratios"]) == {"wake_32_vs_4",
+                                          "leak_100_vs_20"}
+        assert all(r > 0 for r in section["ratios"].values())
+        assert section["floor"] == bench.FLAT_FLOOR
 
 
 class TestCheckpointSection:
