@@ -14,10 +14,12 @@ byte for byte, so any change to diagnostic codes, messages, ordering,
 witness scripts, or bounds shows up in review as a golden diff.  Only
 rerun this when the analysis output deliberately changes.
 
-``--farm`` instead regenerates ``farm_blink.prom`` — the deterministic
+``--farm`` instead regenerates the two exposition goldens, both pinned
+by ``tests/test_farm.py``: ``farm_blink.prom`` — the deterministic
 Prometheus exposition of the CI farm-smoke workload (1000 blink
-instances, 2s), pinned by ``tests/test_farm.py`` and the farm-smoke CI
-job.  Rerun after an intentional metrics/exposition change.
+instances, 2s), also diffed by the farm-smoke CI job — and
+``corpus_deep_025.prom``, one corpus program driven by its committed
+script.  Rerun after an intentional metrics/exposition change.
 
 ``--semantics`` regenerates ``semantics_*.txt`` — the reference
 semantics' rule-application transcript for every corpus program under
@@ -166,13 +168,17 @@ def mint_farm(out: Path) -> None:
     from repro.apps import load
     from repro.obs import render_prom
     from repro.runtime.farm import Farm
-    from test_farm import prom_deterministic_lines
+    from test_farm import corpus_exposition, prom_deterministic_lines
 
     farm = Farm(load("blink"), n=1000, program="blink")
     farm.run_until("2s")
     text = prom_deterministic_lines(render_prom(farm.fleet_snapshot()))
     (out / "farm_blink.prom").write_text(text)
     print(f"farm_blink.prom: {len(text.splitlines())} exposition lines")
+    text = corpus_exposition("deep_025")
+    (out / "corpus_deep_025.prom").write_text(text)
+    print(f"corpus_deep_025.prom: {len(text.splitlines())} exposition "
+          f"lines")
 
 
 def semantics_transcript(src: str, script: list, name: str) -> str:
