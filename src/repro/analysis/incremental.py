@@ -209,6 +209,7 @@ class IncrementalAnalyzer:
         self.verify_witnesses = verify_witnesses
         self.stats: dict[str, int] = {
             "analyses": 0, "full_runs": 0, "full_fallbacks": 0,
+            "fast_path_errors": 0,
             "regions_reused": 0, "regions_recovered": 0,
             "regions_reparsed": 0,
             "entries_reused": 0, "entries_reparsed": 0, "descents": 0,
@@ -243,8 +244,9 @@ class IncrementalAnalyzer:
             except _Fallback:
                 self.stats["full_fallbacks"] += 1
             except Exception:
-                # the fast path must never be less correct than cold
-                self.stats["full_fallbacks"] += 1
+                # the fast path must never be less correct than cold,
+                # but an unplanned failure is a bug, not a fallback
+                self.stats["fast_path_errors"] += 1
         return self._analyze_cold(source)
 
     # --------------------------------------------------------- cold path

@@ -40,6 +40,7 @@ from typing import Callable, Optional
 from ..dfa import build_dfa
 from ..lang import parse
 from ..lang.errors import CeuError
+from ..obs.fleet import sample
 from ..obs.hooks import HookSubscriber
 from ..runtime import Program
 from ..runtime.scheduler import AWAITING
@@ -97,6 +98,7 @@ def bookkeeping_violations(sched, bounds) -> dict:
     the static bounds; returns ``{check: details}`` (empty = sound):
 
     * ``awaiting_count()`` equals a recount over the live trails;
+    * ``armed_timers()`` equals a recount over the timer heap;
     * the ext, int and ``forever`` gates hold no dead trail and at most
       ``max_trails`` entries;
     * the timer heap holds at most ``2 * max_armed_timers + 1`` entries
@@ -106,6 +108,11 @@ def bookkeeping_violations(sched, bounds) -> dict:
     if sched.awaiting_count() != recount:
         out["awaiting"] = {"counter": sched.awaiting_count(),
                            "recount": recount}
+    armed = sum(1 for entry in sched.timers
+                if entry[-1].alive and entry[-1].waiting == "time")
+    if sched.armed_timers() != armed:
+        out["armed_timers"] = {"counter": sched.armed_timers(),
+                               "recount": armed}
     gates = [*sched.ext_waiting.values(), *sched.int_waiting.values(),
              sched.forever]
     dead = sum(1 for gate in gates for t in gate if not t.alive)
@@ -324,11 +331,10 @@ def bounds_violations(bounds, stats: dict) -> dict:
     """Compare a run's observed high-water marks against the static
     resource bounds; returns ``{metric: {"observed", "bound"}}`` for
     every violation (empty = the bounds are sound for this run)."""
-    gauges = stats.get("gauges", {})
-    hists = stats.get("histograms", {})
+    families = stats["families"]
 
     def hw(name: str) -> int:
-        return gauges.get(name, {}).get("max", 0)
+        return sample(families, name, {}).get("max", 0)
 
     checks = {
         "max_trails": (hw("live_trails"), bounds.max_trails),
@@ -340,8 +346,7 @@ def bounds_violations(bounds, stats: dict) -> dict:
                                bounds.max_internal_emits),
         # each nested emit pushes the §2.2 stack at most once, so the
         # per-reaction emit count also bounds the stack depth
-        "emit_stack_depth": (hists.get("emit_stack_depth",
-                                       {}).get("max") or 0,
+        "emit_stack_depth": (hw("emit_stack_depth") or 0,
                              bounds.max_internal_emits),
     }
     return {name: {"observed": observed, "bound": bound_}

@@ -34,9 +34,9 @@ flow-event export (:mod:`repro.obs.export`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .hooks import HOOK_EVENTS, HookBus, HookSubscriber
+from .hooks import HookBus, RecordingSubscriber
 
 
 @dataclass(slots=True)
@@ -86,7 +86,7 @@ class CausalNode:
         return f"{self.event} {f}"
 
 
-class CausalGraph(HookSubscriber):
+class CausalGraph(RecordingSubscriber):
     """Hook-bus subscriber materialising the causal DAG.
 
     Needs the bus it is subscribed to (to read the span bookkeeping)::
@@ -103,22 +103,18 @@ class CausalGraph(HookSubscriber):
         self._reaction = -1
 
     # ------------------------------------------------------------ recording
-    def _record(self, event: str, fields: dict) -> CausalNode:
+    def record(self, event: str, fields: tuple[str, ...],
+               args: tuple) -> None:
+        if event == "reaction_begin":
+            self._reaction = args[0]
         bus = self.bus
         node = CausalNode(
-            span=bus.last_span, event=event, fields=fields,
-            parent=bus.last_parent,
+            span=bus.last_span, event=event,
+            fields=dict(zip(fields, args)), parent=bus.last_parent,
             wake=bus.wake if event == "trail_resume" else 0,
             reaction=self._reaction)
         self.nodes[node.span] = node
         self.order.append(node.span)
-        return node
-
-    def on_reaction_begin(self, index, trigger, value, time_us) -> None:
-        self._reaction = index
-        self._record("reaction_begin",
-                     {"index": index, "trigger": trigger, "value": value,
-                      "time_us": time_us})
 
     # ------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -324,17 +320,3 @@ def diff_slices(graph_a: CausalGraph, span_a: int,
         return ""
     return "\n".join(difflib.unified_diff(a, b, fromfile=label_a,
                                           tofile=label_b, lineterm=""))
-
-
-def _recorder(event: str, fields: tuple[str, ...]) -> Callable:
-    def record(self, *args) -> None:
-        self._record(event, dict(zip(fields, args)))
-
-    record.__name__ = f"on_{event}"
-    return record
-
-
-for _name, _fields in HOOK_EVENTS.items():
-    if _name != "reaction_begin":   # handled explicitly (reaction index)
-        setattr(CausalGraph, f"on_{_name}", _recorder(_name, _fields))
-del _name, _fields

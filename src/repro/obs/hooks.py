@@ -14,9 +14,10 @@ platforms) skip dispatch entirely — one attribute load and a branch per
 potential event, so the reference VM's speed and semantics are untouched.
 
 The event taxonomy lives in :data:`HOOK_EVENTS`; the dispatch methods on
-:class:`HookBus` and the JSONL exporter are both generated from it, so
-the taxonomy, the bus, and the machine-readable export cannot drift
-apart.
+:class:`HookBus` and the per-event methods of every
+:class:`RecordingSubscriber` (the event log, the JSONL exporters, the
+causal graph, the farm's instance tap) are generated from it, so the
+taxonomy, the bus, and the machine-readable export cannot drift apart.
 """
 
 from __future__ import annotations
@@ -144,7 +145,30 @@ for _name in HOOK_EVENTS:
     setattr(HookBus, _name, _dispatcher(_name))
 
 
-class EventLog(HookSubscriber):
+class RecordingSubscriber(HookSubscriber):
+    """Base for subscribers that handle every event alike: each
+    generated ``on_<event>`` calls ``self.record(event, fields, args)``
+    with the taxonomy's field names and the dispatched values."""
+
+    def record(self, event: str, fields: tuple[str, ...],
+               args: tuple) -> None:  # pragma: no cover - overridden
+        raise NotImplementedError
+
+
+def _recorder(event: str, fields: tuple[str, ...]) -> Callable:
+    def on_event(self, *args) -> None:
+        self.record(event, fields, args)
+
+    on_event.__name__ = f"on_{event}"
+    return on_event
+
+
+for _name, _fields in HOOK_EVENTS.items():
+    setattr(RecordingSubscriber, f"on_{_name}", _recorder(_name, _fields))
+del _name, _fields
+
+
+class EventLog(RecordingSubscriber):
     """Records every event as ``(name, {field: value})`` — the simplest
     subscriber, used by tests and the JSONL exporter's foundation.
 
@@ -164,6 +188,11 @@ class EventLog(HookSubscriber):
     @property
     def dropped(self) -> int:
         return self.seen - len(self.events)
+
+    def record(self, event: str, fields: tuple[str, ...],
+               args: tuple) -> None:
+        self.seen += 1
+        self.events.append((event, dict(zip(fields, args))))
 
     def names(self) -> list[str]:
         return [name for name, _ in self.events]
@@ -205,18 +234,3 @@ class EventLog(HookSubscriber):
                 rows.append((trigger, tuple(steps), tuple(emitted)))
                 trigger = None
         return tuple(rows)
-
-
-def _recorder(event: str, fields: tuple[str, ...]) -> Callable:
-    def record(self, *args) -> None:
-        self.seen += 1
-        self.events.append((event, dict(zip(fields, args))))
-
-    record.__name__ = f"on_{event}"
-    return record
-
-
-for _name, _fields in HOOK_EVENTS.items():
-    setattr(EventLog, f"on_{_name}", _recorder(_name, _fields))
-
-del _name, _fields

@@ -1,39 +1,39 @@
 """Prometheus text exposition (version 0.0.4) for metric snapshots.
 
-:func:`render_prom` turns any registry snapshot — a single instance's
-:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, a fleet rollup from
-:func:`~repro.obs.fleet.merge_snapshots`, or a
-:class:`~repro.obs.fleet.FleetRegistry` family snapshot — into the
-``# TYPE`` / sample-line format every Prometheus-compatible scraper
-(Prometheus, VictoriaMetrics, Grafana Agent, ``promtool check metrics``)
-ingests.  Two delivery paths ship with the repo: the CLI writes the
-exposition to a file (``repro run --prom`` / ``repro farm --prom``,
-atomically — temp file + ``os.replace`` — so the textfile collector
-never reads a torn exposition), and the stdlib HTTP admin server
-(:mod:`repro.obs.serve`, ``repro farm --serve``) serves it live at
-``/metrics``; :mod:`repro.obs.federate` merges N shard expositions into
-one (docs/OBSERVABILITY.md, "Telemetry plane").
+:func:`render_prom` turns a family block
+(:meth:`~repro.obs.fleet.FleetRegistry.snapshot`), a ``program.stats()``
+or a fleet snapshot (:meth:`repro.runtime.farm.Farm.fleet_snapshot`, a
+federator's) into the ``# TYPE`` / sample-line format every
+Prometheus-compatible scraper (Prometheus, VictoriaMetrics, Grafana
+Agent, ``promtool check metrics``) ingests.  Two delivery paths ship
+with the repo: the CLI writes the exposition to a file (``repro run
+--prom`` / ``repro farm --prom``, atomically — temp file +
+``os.replace`` — so the textfile collector never reads a torn
+exposition), and the stdlib HTTP admin server (:mod:`repro.obs.serve`,
+``repro farm --serve``) serves it live at ``/metrics``;
+:mod:`repro.obs.federate` merges N shard snapshots into one
+(docs/OBSERVABILITY.md, "Telemetry plane").
 
 Mapping rules:
 
 * names are sanitised to ``[a-zA-Z_:][a-zA-Z0-9_:]*`` and prefixed
-  (default ``repro_``);
-* the registry's dotted dynamic counters (``reactions_by_trigger.X``,
-  ``awaits_by_target.Y``, ``emits_by_event.Z``) become one family with
-  a label derived from the ``_by_<label>`` suffix:
-  ``repro_reactions_by_trigger_total{trigger="X"}``;
+  (default ``repro_``); a family's label names and values become the
+  sample's labels: ``repro_reactions_by_trigger_total{trigger="boot"}``;
 * gauges emit ``value`` plus ``_min``/``_max`` watermark series;
 * histograms emit cumulative ``_bucket{le=…}`` lines, ``_sum`` and
   ``_count`` — percentile estimation moves to the scraper's
   ``histogram_quantile``, which sees exactly the buckets the in-process
-  estimator used.
+  estimator used;
+* the scalar ``runtime`` sample of ``program.stats()`` becomes
+  ``runtime_*`` gauges and a fleet's live ``instances`` count the
+  ``farm_instances`` gauge, both without watermarks.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import Optional, Sequence
+from typing import Sequence
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -68,17 +68,6 @@ def _num(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _split_dynamic(name: str) -> Optional[tuple[str, str, str]]:
-    """``reactions_by_trigger.event:A`` → (family, label name, value)."""
-    if "." not in name:
-        return None
-    family, value = name.split(".", 1)
-    if "_by_" not in family:
-        return None
-    label = family.rsplit("_by_", 1)[1]
-    return family, label, value
 
 
 class _Writer:
@@ -131,71 +120,38 @@ class _Writer:
         return "\n".join(self.lines) + "\n" if self.lines else ""
 
 
-def _render_registry(w: _Writer, snap: dict) -> None:
-    # the scheduler's always-on ``runtime`` block (``program.stats()``)
-    # exports as gauges under a ``runtime_`` prefix — several keys
-    # (``live_trails`` …) also exist as sampled registry gauges and
-    # duplicate sample names are illegal in an exposition
-    for name, value in snap.get("runtime", {}).items():
-        if isinstance(value, (int, float)):
-            w.gauge(f"runtime_{name}", {"value": value})
-    for name, value in snap.get("counters", {}).items():
-        dynamic = _split_dynamic(name)
-        if dynamic is not None:
-            family, label, labelvalue = dynamic
-            w.counter(family + "_total", value, (label,), (labelvalue,))
-        else:
-            w.counter(name, value)
-    for name, g in snap.get("gauges", {}).items():
-        w.gauge(name, g)
-    for name, h in snap.get("histograms", {}).items():
-        w.histogram(name, h)
-
-
-def _render_families(w: _Writer, families: dict) -> None:
-    for name, fam in families.items():
-        labelnames = fam.get("labels", [])
-        for labelvalues, value in fam.get("series", []):
-            if fam["kind"] == "counter":
-                w.counter(name, value, labelnames, labelvalues)
-            elif fam["kind"] == "gauge":
-                w.gauge(name, value, labelnames, labelvalues)
-            else:
-                w.histogram(name, value, labelnames, labelvalues)
-
-
 def render_prom(snapshot: dict, prefix: str = "repro_") -> str:
     """Render a snapshot as Prometheus text exposition.
 
-    Accepts (and auto-detects) any of:
-
-    * a registry snapshot (``counters``/``gauges``/``histograms`` keys),
-      including the fleet rollup from
-      :func:`~repro.obs.fleet.merge_snapshots` (its ``instances`` count
-      becomes a gauge);
-    * a :meth:`FleetRegistry.snapshot` family dict (every value carries
-      a ``kind``);
-    * a farm fleet snapshot holding both (``merged`` + ``farm`` keys,
-      see :meth:`repro.runtime.farm.Farm.fleet_snapshot`).
+    Accepts a family block (every value carries a ``kind``), or any
+    snapshot carrying one under ``families``: ``program.stats()`` (its
+    ``runtime`` sample becomes gauges) or a fleet snapshot (its
+    ``instances`` count becomes a gauge).
     """
     w = _Writer(prefix)
-    if "merged" in snapshot or "farm" in snapshot:
+    if isinstance(snapshot.get("families"), dict):
         if snapshot.get("instances") is not None:
             w.gauge("farm_instances", {"value": snapshot["instances"]})
-        _render_families(w, snapshot.get("farm", {}))
-        _render_registry(w, snapshot.get("merged", {}))
-        return w.text()
-    if any(k in snapshot for k in ("counters", "gauges", "histograms")):
-        if snapshot.get("instances") is not None:
-            w.gauge("instances", {"value": snapshot["instances"]})
-        _render_registry(w, snapshot)
-        return w.text()
-    if all(isinstance(v, dict) and "kind" in v
-           for v in snapshot.values()) and snapshot:
-        _render_families(w, snapshot)
-        return w.text()
-    raise ValueError("not a metrics snapshot: expected registry, fleet "
-                     "rollup, or family snapshot")
+        # the scheduler's always-on ``runtime`` sample exports under a
+        # ``runtime_`` prefix — several keys (``live_trails`` …) are
+        # also sampled gauges, and duplicate sample names are illegal
+        for name, value in snapshot.get("runtime", {}).items():
+            if isinstance(value, (int, float)):
+                w.gauge(f"runtime_{name}", {"value": value})
+        families = snapshot["families"]
+    elif snapshot and all(isinstance(v, dict) and "kind" in v
+                          for v in snapshot.values()):
+        families = snapshot
+    else:
+        raise ValueError("not a metrics snapshot: expected a family "
+                         "block or a snapshot carrying one")
+    for name, fam in families.items():
+        labelnames = fam["labels"]
+        render = {"counter": w.counter, "gauge": w.gauge,
+                  "histogram": w.histogram}[fam["kind"]]
+        for labelvalues, value in fam["series"]:
+            render(name, value, labelnames, labelvalues)
+    return w.text()
 
 
 #: the Content-Type the exposition format mandates (serve.py sends it)

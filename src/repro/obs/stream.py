@@ -32,37 +32,27 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .export import jsonl_line, jsonl_record
-from .hooks import HOOK_EVENTS, HookSubscriber
+from .hooks import RecordingSubscriber
 
 
-class _LineSink(HookSubscriber):
-    """Base for subscribers that consume rendered JSONL lines: one
-    generated ``on_<event>`` per taxonomy entry, each calling
-    ``self._line(line)`` with the canonical rendering."""
+class _LineSink(RecordingSubscriber):
+    """Base for subscribers that consume rendered JSONL lines: every
+    event reaches ``self._line(line)`` with the canonical rendering."""
 
     def __init__(self) -> None:
         self.seq = 0
 
-    def _line(self, line: str) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-def _streamer(event: str, fields: tuple[str, ...]) -> Callable:
-    def record(self, *args) -> None:
+    def record(self, event: str, fields: tuple[str, ...],
+               args: tuple) -> None:
         line = jsonl_line(jsonl_record(event, fields, args, self.seq))
         self.seq += 1
         self._line(line)
 
-    record.__name__ = f"on_{event}"
-    return record
-
-
-for _name, _fields in HOOK_EVENTS.items():
-    setattr(_LineSink, f"on_{_name}", _streamer(_name, _fields))
-del _name, _fields
+    def _line(self, line: str) -> None:  # pragma: no cover - overridden
+        raise NotImplementedError
 
 
 class StreamingJsonlExporter(_LineSink):

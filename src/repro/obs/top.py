@@ -28,6 +28,8 @@ import sys
 import time
 from typing import Callable, Optional
 
+from .fleet import FLEET_SCHEMA, sample
+
 CLEAR = "\x1b[2J\x1b[H"
 BOLD = "\x1b[1m"
 DIM = "\x1b[2m"
@@ -99,9 +101,7 @@ class Top:
         return f"{code}{text}{RESET}" if self.color else text
 
     def _rates(self, now: float, snap: dict) -> dict:
-        merged = snap.get("merged", {})
-        counters = merged.get("counters", {})
-        reactions = counters.get("reactions_total", 0)
+        reactions = sample(snap.get("families", {}), "reactions_total", 0)
         fired = snap.get("sim", {}).get("events_fired", 0)
         rates = {"reactions_per_s": None, "events_per_s": None,
                  "reactions_total": reactions}
@@ -109,10 +109,8 @@ class Top:
             t0, prev = self._prev
             dt = now - t0
             if dt > 0:
-                prev_counters = prev.get("merged", {}).get("counters", {})
-                rates["reactions_per_s"] = (
-                    reactions - prev_counters.get("reactions_total", 0)
-                ) / dt
+                rates["reactions_per_s"] = (reactions - sample(
+                    prev.get("families", {}), "reactions_total", 0)) / dt
                 prev_fired = prev.get("sim", {}).get("events_fired", 0)
                 rates["events_per_s"] = (fired - prev_fired) / dt
         return rates
@@ -143,8 +141,13 @@ class Top:
                if rates["reactions_per_s"] is not None else "")
             + (f"   sim events {_fmt(rates['events_per_s'])}/s"
                if rates["events_per_s"] is not None else ""))
-        latency = snap.get("merged", {}).get("histograms", {}).get(
-            "reaction_latency_us", {})
+        if snap.get("schema") != FLEET_SCHEMA:
+            lines.append(self._c(RED, f"snapshot schema "
+                                      f"{snap.get('schema')!r} not "
+                                      f"understood (expected "
+                                      f"{FLEET_SCHEMA})"))
+        latency = sample(snap.get("families", {}), "reaction_latency_us",
+                         {})
         if latency.get("count"):
             lines.append(
                 "latency us  "

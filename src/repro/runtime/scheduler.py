@@ -31,7 +31,8 @@ from typing import Any, Callable, Optional
 from ..lang import ast
 from ..lang.errors import RuntimeCeuError
 from ..obs.hooks import HookBus
-from ..obs.metrics import MetricsCollector, MetricsRegistry
+from ..obs.fleet import FleetRegistry
+from ..obs.metrics import MetricsCollector
 from ..sema.binder import BoundProgram
 from ..sema.symbols import EventSymbol
 from .asyncs import AsyncInterp, AsyncJob
@@ -81,7 +82,7 @@ class Scheduler:
         self.trace = trace if trace is not None else Trace(enabled=False)
         if self.trace.enabled:
             self.hooks.subscribe(self.trace)
-        self.metrics = MetricsRegistry()
+        self.metrics = FleetRegistry()
         self._metrics_collector: Optional[MetricsCollector] = None
 
         self.clock = 0                     # wall-clock, microseconds
@@ -163,7 +164,7 @@ class Scheduler:
         return self._depth.get(node.nid, 0)
 
     # ------------------------------------------------------- observability
-    def enable_metrics(self) -> MetricsRegistry:
+    def enable_metrics(self) -> FleetRegistry:
         """Attach (once) a metrics collector to the hook bus."""
         if self._metrics_collector is None:
             self._metrics_collector = MetricsCollector(self.metrics,
@@ -175,28 +176,31 @@ class Scheduler:
         """Snapshot of the documented metric set (docs/OBSERVABILITY.md).
 
         The ``runtime`` block is always live (sampled on demand); the
-        counter/histogram blocks fill in once :meth:`enable_metrics` (or
+        ``families`` block fills in once :meth:`enable_metrics` (or
         ``Program(..., observe=True)``) has attached the collector.
         """
-        snap = self.metrics.snapshot()
-        snap["runtime"] = {
-            "clock_us": self.clock,
-            "reactions_total": self.reaction_count,
-            "steps_total": self.steps_executed,
-            "live_trails": len(self._live),
-            "awaiting": self.awaiting_count(),
-            "timer_heap_size": len(self.timers),
-            "async_jobs": len(self.async_jobs),
-            "input_queue_depth": len(self.input_queue),
-            "done": self.done,
-            "observed": self._metrics_collector is not None,
+        snap = {
+            "runtime": {
+                "clock_us": self.clock,
+                "reactions_total": self.reaction_count,
+                "steps_total": self.steps_executed,
+                "live_trails": len(self._live),
+                "awaiting": self.awaiting_count(),
+                "timer_heap_size": len(self.timers),
+                "async_jobs": len(self.async_jobs),
+                "input_queue_depth": len(self.input_queue),
+                "done": self.done,
+                "observed": self._metrics_collector is not None,
+            },
+            "families": self.metrics.snapshot(),
         }
-        latency = self.metrics.histograms.get("reaction_latency_us")
-        if latency is not None and latency.total:
+        collector = self._metrics_collector
+        if collector is not None and collector.reaction_latency.total:
+            latency = collector.reaction_latency
             snap["derived"] = {
                 "reactions_per_sec": latency.count * 1e6 / latency.total,
                 "steps_per_reaction_mean":
-                    self.metrics.histograms["steps_per_reaction"].mean,
+                    collector.steps_per_reaction.mean,
             }
         return snap
 
@@ -426,6 +430,11 @@ class Scheduler:
         reactions a still-waiting trail has no heap entry — counting the
         heap would declare quiescence with a resume still owed."""
         return self._awaiting
+
+    def armed_timers(self) -> int:
+        """Timer-heap entries whose trail still waits on them: the heap
+        less the killed entries not yet compacted away."""
+        return len(self.timers) - self._dead_timers
 
     def next_deadline(self) -> Optional[int]:
         """Earliest pending wall-clock deadline (for platform drivers)."""

@@ -239,6 +239,25 @@ def kill_leaves_gates(monkeypatch):
 
 
 @pytest.fixture
+def kill_skips_dead_timer(monkeypatch):
+    """Fault: a kill skips the ``_dead_timers`` increment for the timer
+    entry it leaves in the heap (compaction then runs on that count)."""
+    original = Scheduler.kill_region
+
+    def mutated(self, join):
+        before = self._dead_timers
+        self._compact_timers = lambda: None
+        try:
+            original(self, join)
+        finally:
+            del self._compact_timers
+        self._dead_timers = before
+        self._compact_timers()
+
+    monkeypatch.setattr(Scheduler, "kill_region", mutated)
+
+
+@pytest.fixture
 def no_timer_compaction(monkeypatch):
     """Fault: killed timer entries are never compacted."""
     monkeypatch.setattr(Scheduler, "_compact_timers", lambda self: None)
@@ -267,3 +286,29 @@ def test_audit_catches_an_uncompacted_timer_heap(no_timer_compaction):
     found = _bookkeeping_failure(WATCHDOG, WATCHDOG_SCRIPT)
     assert found["timer_heap"]["observed"] > found["timer_heap"]["bound"]
 
+
+
+def test_audit_catches_a_kill_that_skips_the_dead_timer_count(
+        kill_skips_dead_timer):
+    found = _bookkeeping_failure(WATCHDOG, WATCHDOG_SCRIPT)
+    assert found["armed_timers"] == {"counter": 2, "recount": 1}
+    assert found["reaction"] == 1   # the first `A` kills the 1s timer
+
+
+def test_armed_timers_counter_matches_the_heap_scan():
+    """``armed_timers()`` is the heap less its uncompacted killed
+    entries: equal to a scan after every reaction, while killed entries
+    wait for compaction beside two long-armed timers."""
+    program = Program(WATCHDOG.replace("loop do", "par do\nloop do", 1)
+                      + "with\n   await 10min;\nwith\n   await 20min;\n"
+                        "end\n")
+    sched = program.sched
+    program.start()
+    seen = []
+    for _ in range(6):
+        program.send("A")
+        scan = sum(1 for entry in sched.timers
+                   if entry[-1].alive and entry[-1].waiting == "time")
+        seen.append((sched.armed_timers(), scan, len(sched.timers)))
+    assert all(counter == scan for counter, scan, _ in seen)
+    assert any(heap > scan for _, scan, heap in seen)  # dead entries

@@ -153,9 +153,11 @@ class TestCliObservability:
         out = tmp_path / "stats.json"
         assert main(["profile", ceu_file(EMITTER), "X=4",
                      "--json", str(out)]) == 0
+        from repro.obs.fleet import counter_samples
         stats = json.loads(out.read_text())
-        assert stats["counters"]["reactions_total"] == 2
-        assert stats["counters"]["emits_by_event.e"] == 1
+        counters = counter_samples(stats["families"])
+        assert counters["reactions_total"] == 2
+        assert counters['emits_by_event_total{event="e"}'] == 1
         assert stats["runtime"]["observed"] is True
 
 

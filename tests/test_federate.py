@@ -3,13 +3,14 @@
 The load-bearing properties:
 
 * **true cross-shard percentiles** — the federator rolls shard
-  snapshots through the same bucket-merge as the in-process fleet
-  rollup, so the federated p99 equals ``merge_snapshots`` over the
-  shards' merged registries, not an average of per-shard p99s;
-* **failure is a first-class signal** — a shard that stops answering
-  flips ``shard_up`` to 0, keeps its staleness growing, and never
-  poisons the exposition: the remaining shards still render valid
-  0.0.4 text;
+  snapshots through the same :func:`~repro.obs.fleet.fold` as the
+  in-process fleet rollup, so the federated p99 equals the fold over
+  every shard instance's live registry, not an average of per-shard
+  p99s;
+* **failure is a first-class signal** — a shard that stops answering,
+  or answers with an unknown schema or a malformed family block, flips
+  ``shard_up`` to 0, keeps its staleness growing, and never poisons the
+  exposition: the remaining shards still render valid 0.0.4 text;
 * **composability** — the federated snapshot has the same shape as a
   single farm's, so ``render_prom``, ``repro top``, and a second-level
   federator all consume it unchanged.
@@ -20,7 +21,8 @@ import json
 import pytest
 
 from check_prom import check_prom
-from repro.obs import Federator, merge_snapshots, render_prom
+from repro.obs import Federator, fold, render_prom
+from repro.obs.fleet import sample
 from repro.runtime.farm import Farm
 
 TICKER = """
@@ -61,11 +63,10 @@ class TestMergeCorrectness:
         fed = Federator(list(farms), fetch=_fake_fetch(farms))
         assert fed.scrape() == 2
         snap = fed.snapshot()
-        want = (a.fleet_snapshot()["merged"]["counters"]
-                ["reactions_total"]
-                + b.fleet_snapshot()["merged"]["counters"]
-                ["reactions_total"])
-        assert snap["merged"]["counters"]["reactions_total"] == want
+        want = (sample(a.fleet_snapshot()["families"], "reactions_total")
+                + sample(b.fleet_snapshot()["families"],
+                         "reactions_total"))
+        assert sample(snap["families"], "reactions_total") == want
         assert snap["instances"] == 8
         assert snap["federated"] is True
 
@@ -75,11 +76,10 @@ class TestMergeCorrectness:
         farms = {"http://s1": a, "http://s2": b}
         fed = Federator(list(farms), fetch=_fake_fetch(farms))
         fed.scrape()
-        got = fed.snapshot()["merged"]["histograms"][
-            "reaction_latency_us"]
-        want = merge_snapshots([a.fleet_snapshot()["merged"],
-                                b.fleet_snapshot()["merged"]])[
-            "histograms"]["reaction_latency_us"]
+        got = sample(fed.snapshot()["families"], "reaction_latency_us")
+        want = fold(inst.program.sched.metrics for farm in (a, b)
+                    for inst in farm.instances).get(
+            "reaction_latency_us").snapshot()
         assert got["count"] == want["count"]
         assert got["p99"] == want["p99"]
         assert got["buckets"] == want["buckets"]
@@ -90,7 +90,7 @@ class TestMergeCorrectness:
         farms = {"http://s1": a, "http://s2": b}
         fed = Federator(list(farms), fetch=_fake_fetch(farms))
         fed.scrape()
-        fam = fed.snapshot()["farm"]["farm_instances_spawned_total"]
+        fam = fed.snapshot()["families"]["farm_instances_spawned_total"]
         series = {tuple(k): v for k, v in fam["series"]}
         assert series[("tick",)] == 4
 
@@ -166,6 +166,53 @@ class TestFailureSignals:
         assert calls[0] == 3
 
 
+def _bad_payloads() -> dict:
+    """One good shard snapshot, broken four ways."""
+    good = _shard(TICKER, 2, 500_000).fleet_snapshot()
+    bad_histogram = json.loads(json.dumps(good))
+    bad_histogram["families"]["reaction_latency_us"]["series"][0][1] = 7
+    families_list = dict(good, families=list(good["families"]))
+    schema_1 = {key: value for key, value in good.items()
+                if key != "families"}
+    schema_1.update(schema=1, farm={}, merged={
+        "counters": {"reactions_total": 3}, "gauges": {},
+        "histograms": {}})
+    return {"json-list": [good], "families-list": families_list,
+            "histogram-number": bad_histogram, "schema-1": schema_1}
+
+
+class TestMalformedShards:
+    """A shard answering with something that is not a schema-2 fleet
+    snapshot is a failed scrape: it counts ``outcome="error"``, reads
+    ``shard_up`` 0, and the healthy shards still render."""
+
+    @pytest.mark.parametrize("kind", ["json-list", "families-list",
+                                      "histogram-number", "schema-1"])
+    def test_bad_shard_is_an_error_not_an_outage(self, kind):
+        payload = json.dumps(_bad_payloads()[kind]).encode()
+        good = _shard(TICKER, 3, 1_000_000)
+
+        def fetch(url, timeout_s):
+            if url.startswith("http://bad"):
+                return payload
+            return json.dumps(good.fleet_snapshot()).encode()
+
+        fed = Federator(["http://good:1", "http://bad:2"], fetch=fetch)
+        assert fed.scrape() == 1
+        scrapes = {tuple(k): v for k, v in fed.registry.snapshot()[
+            "federation_scrapes_total"]["series"]}
+        assert scrapes == {("good:1", "ok"): 1, ("bad:2", "error"): 1}
+        snap = fed.snapshot()
+        assert snap["shards"]["bad:2"]["up"] is False
+        assert snap["shards"]["bad:2"]["error"].startswith("ValueError")
+        assert snap["instances"] == 3
+        text = fed.render()
+        assert check_prom(text) == []
+        assert 'repro_federation_shard_up{shard="bad:2"} 0' in text
+        assert 'repro_shard_up{shard="good:1"} 1' in text
+        assert "repro_reactions_total " in text
+
+
 class TestComposability:
     def test_federated_snapshot_renders_and_validates(self):
         a = _shard(TICKER, 2, 1_000_000)
@@ -191,8 +238,8 @@ class TestComposability:
         upper.scrape()
         snap = upper.snapshot()
         assert snap["instances"] == 5
-        assert snap["merged"]["counters"]["reactions_total"] == \
-            lower.snapshot()["merged"]["counters"]["reactions_total"]
+        assert sample(snap["families"], "reactions_total") == \
+            sample(lower.snapshot()["families"], "reactions_total")
 
     def test_duplicate_shard_names_are_disambiguated(self):
         a = _shard(TICKER, 1, 250_000)

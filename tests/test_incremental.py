@@ -172,4 +172,32 @@ def test_corpus_edit_identity(path):
     check(an, "".join(lines[:mid] + ["// keystroke\n"] + lines[mid:]))
     check(an, source)
     assert an.stats["full_fallbacks"] == 0
+    assert an.stats["fast_path_errors"] == 0
     assert an.stats["full_runs"] == 1
+
+
+def test_fast_path_bug_is_counted_apart_from_planned_fallbacks(
+        monkeypatch):
+    """A planned ``_Fallback`` and an unexpected exception both fall
+    back to a cold run with identical output, but only the planned one
+    counts as ``full_fallbacks``: a bug reads as ``fast_path_errors``."""
+    from repro.analysis import incremental
+
+    source = (CORPUS / "deep_005.ceu").read_text()
+    edited = source + "// keystroke\n"
+    for raised, stat in ((incremental._Fallback("planned"),
+                          "full_fallbacks"),
+                         (RuntimeError("injected"), "fast_path_errors")):
+        an = IncrementalAnalyzer()
+        an.analyze(source)
+
+        def spliced(self, src, exc=raised):
+            raise exc
+
+        with monkeypatch.context() as m:
+            m.setattr(IncrementalAnalyzer, "_analyze_spliced", spliced)
+            report = an.analyze(edited)
+        assert report.to_json() == run_analysis(edited).to_json()
+        other = ({"full_fallbacks", "fast_path_errors"} - {stat}).pop()
+        assert (an.stats[stat], an.stats[other]) == (1, 0)
+        assert an.stats["full_runs"] == 2

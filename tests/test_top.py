@@ -12,13 +12,21 @@ from repro.obs import Top
 from repro.obs.top import _fmt
 
 
+def _families(reactions: int, latency=None) -> dict:
+    families = {"reactions_total": {"kind": "counter", "labels": [],
+                                    "series": [[[], reactions]]}}
+    if latency is not None:
+        families["reaction_latency_us"] = {
+            "kind": "histogram", "labels": [], "series": [[[], latency]]}
+    return families
+
+
 def _snap(reactions=0, fired=0, now_us=0, **extra) -> dict:
     snap = {
-        "schema": 1, "instances": 4, "spawned": 4, "done": 0,
+        "schema": 2, "instances": 4, "spawned": 4, "done": 0,
         "now_us": now_us,
         "sim": {"events_fired": fired},
-        "merged": {"counters": {"reactions_total": reactions},
-                   "gauges": {}, "histograms": {}},
+        "families": _families(reactions),
     }
     snap.update(extra)
     return snap
@@ -57,8 +65,7 @@ class TestFrames:
     def test_latency_line_renders_percentiles(self):
         latency = {"count": 9, "p50": 80, "p95": 200, "p99": 4000,
                    "max": 5000}
-        snap = _snap()
-        snap["merged"]["histograms"]["reaction_latency_us"] = latency
+        snap = _snap(families=_families(0, latency))
         top, _ = _top([snap])
         frame = top.frame()
         assert "p50 80" in frame
@@ -128,15 +135,25 @@ class TestFrames:
         """The exact shape ``repro postmortem`` finds in fleet.json —
         counters only, no watchdog, no wallclock — paints a full frame."""
         top, _ = _top([{
-            "schema": 1, "instances": 3, "spawned": 3, "done": 0,
+            "schema": 2, "instances": 3, "spawned": 3, "done": 0,
             "now_us": 500_000, "sim": {"events_fired": 12},
-            "merged": {"counters": {"reactions_total": 42},
-                       "gauges": {}, "histograms": {}},
+            "families": _families(42),
         }])
         frame = top.frame()
         assert "reactions 42 total" in frame
         assert "wallclock  speed --" in frame
         assert "watchdog   --" in frame
+        assert "schema" not in frame
+
+    def test_unknown_schema_gets_a_diagnostic(self):
+        """A snapshot from an older shard or bundle (schema 1: counters
+        under ``merged``) would read as all zeros; the frame says so."""
+        top, _ = _top([{
+            "schema": 1, "instances": 3, "spawned": 3, "done": 0,
+            "now_us": 0, "merged": {"counters": {"reactions_total": 42}},
+        }])
+        frame = top.frame()
+        assert "snapshot schema 1 not understood (expected 2)" in frame
 
 
 class TestLoopAndKeys:
