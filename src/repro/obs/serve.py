@@ -114,8 +114,8 @@ class AdminServer:
         # /events backpressure drops, mirrored from the tee's cumulative
         # count at scrape time (satellite of the checkpoint plane)
         self._events_dropped = None if events is None else \
-            self.registry.counter_family(
-                "telemetry_events_dropped_total", ()).labels()
+            self.registry.labels(self.registry.counter_family(
+                "telemetry_events_dropped_total"))
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.daemon_threads = True
         self.httpd.admin = self
@@ -148,9 +148,9 @@ class AdminServer:
     def _observe(self, endpoint: str, code: int, us: int,
                  nbytes: int) -> None:
         with self._meter_lock:
-            self._requests.labels(endpoint, code).inc()
-            self._latency.labels(endpoint).record(us)
-            self._bytes.labels(endpoint).inc(nbytes)
+            self.registry.labels(self._requests, endpoint, code).inc()
+            self.registry.labels(self._latency, endpoint).record(us)
+            self.registry.labels(self._bytes, endpoint).inc(nbytes)
 
     def _self_metrics(self) -> str:
         with self._meter_lock:
