@@ -29,6 +29,7 @@ dict of primitives, directly JSON-serialisable and renderable by
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 #: version of the fleet snapshot shape (``Farm.fleet_snapshot()``, a
@@ -85,8 +86,8 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram with count/sum/min/max.
 
-    ``bounds`` are inclusive upper bounds; one extra overflow bucket
-    catches everything above the last bound.
+    ``bounds`` are ascending inclusive upper bounds; one extra overflow
+    bucket catches everything above the last bound.
     """
 
     __slots__ = ("bounds", "counts", "count", "total", "min", "max")
@@ -106,11 +107,8 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # the first bound >= value, or the overflow bucket past the last
+        self.counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:

@@ -1,5 +1,5 @@
-"""Metrics: the collector that fills a program's registry from the hook
-bus, its bucket layouts, and the ``--stats`` report.
+"""Metrics: the collector the VM feeds to fill a program's registry,
+its bucket layouts, and the ``--stats`` report.
 
 Everything is plain Python over plain ints — zero dependencies, cheap
 enough to leave attached during benchmarks.  The instruments are the
@@ -12,7 +12,6 @@ profile --json`` both emit it verbatim).
 from __future__ import annotations
 
 from .fleet import CounterFamily, GaugeFamily, HistogramFamily
-from .hooks import HookSubscriber
 
 #: µs latency buckets: 1µs … ~1s
 LATENCY_BUCKETS = tuple(10 ** i for i in range(7))
@@ -55,9 +54,15 @@ BY_TARGET = CounterFamily("awaits_by_target_total", ("target",))
 BY_EVENT = CounterFamily("emits_by_event_total", ("event",))
 
 
-class MetricsCollector(HookSubscriber):
-    """Subscribes to a hook bus and aggregates the documented metric set
-    into a :class:`~repro.obs.fleet.FleetRegistry`.
+class MetricsCollector:
+    """Aggregates the documented metric set into a
+    :class:`~repro.obs.fleet.FleetRegistry`.
+
+    The collector is the VM's own accounting, not a hook subscriber:
+    the scheduler and the interpreter call it where they already count
+    (reactions, awaits, emits, timers, spawns and kills, async steps),
+    so a metrics-only program leaves its hook bus disabled.  Steps are
+    taken once per reaction from the reaction's step count.
 
     Every unlabelled series is resolved once, here, and held as an
     attribute; the labelled ``*_by_*`` families gain a series per
@@ -79,60 +84,61 @@ class MetricsCollector(HookSubscriber):
             registry.declare(family)
         self._emits_this_reaction = 0
 
-    # ------------------------------------------------------------ hooks
-    def on_reaction_begin(self, index, trigger, value, time_us) -> None:
+    # ------------------------------------------------------- reactions
+    def reaction_begin(self, trigger: str) -> None:
         self.reactions.inc()
         self.registry.labels(BY_TRIGGER, trigger_family(trigger)).inc()
         self._emits_this_reaction = 0
 
-    def on_reaction_end(self, index, trigger, steps, wall_ns) -> None:
+    def reaction_end(self, steps: int, wall_ns: int) -> None:
+        self.steps.inc(steps)
         self.steps_per_reaction.record(steps)
         self.reaction_latency.record(wall_ns // 1000)
         self.emits_per_reaction.set(self._emits_this_reaction)
         s = self.sampled
         if s is not None:
+            jobs = s.async_jobs
             self.live_trails.set(len(s._live))
             self.timer_heap_size.set(len(s.timers))
-            self.async_jobs.set(len(s.async_jobs))
+            self.async_jobs.set(len(jobs))
             self.input_queue_depth.set(len(s.input_queue))
             self.armed_timers.set(s.armed_timers())
             self.async_jobs_live.set(
-                sum(1 for job in s.async_jobs
-                    if not job.aborted and not job.done))
+                sum(1 for job in jobs if not job.aborted and not job.done)
+                if jobs else 0)
             self.memory_slots.set(s.memory.slot_count())
 
-    def on_step(self, trail, path, kind, line) -> None:
-        self.steps.inc()
-
-    def on_trail_spawn(self, trail, path, time_us) -> None:
-        self.trails_spawned.inc()
-
-    def on_trail_kill(self, trail, path, time_us) -> None:
-        self.trails_killed.inc()
-
-    def on_await_begin(self, trail, target, time_us) -> None:
+    # ------------------------------------------------------ occurrences
+    def await_begin(self, target: str) -> None:
         self.registry.labels(BY_TARGET, target).inc()
 
-    def on_emit_internal(self, name, depth, trail, time_us) -> None:
+    def emit_internal(self, name: str, depth: int) -> None:
         self.emits_internal.inc()
         self.emit_depth.record(depth)
         self._emits_this_reaction += 1
         self.registry.labels(BY_EVENT, name).inc()
 
-    def on_emit_output(self, name, value, time_us) -> None:
+    def emit_output(self) -> None:
         self.emits_output.inc()
 
-    def on_timer_schedule(self, deadline_us, trail, time_us) -> None:
+    def timer_schedule(self) -> None:
         self.timers_scheduled.inc()
 
-    def on_timer_fire(self, deadline_us, delta_us, n_trails) -> None:
+    def timer_fire(self) -> None:
         self.timers_fired.inc()
 
-    def on_async_step(self, job, kind, time_us) -> None:
-        self.async_steps.inc()
+    def trail_spawn(self, n_trails: int = 1) -> None:
+        self.trails_spawned.inc(n_trails)
 
-    def on_region_kill(self, region, n_trails, time_us) -> None:
+    def trail_kill(self, n_trails: int) -> None:
+        self.trails_killed.inc(n_trails)
+
+    def region_kill(self, n_trails: int) -> None:
         self.region_kills.inc()
+        self.trails_killed.inc(n_trails)
+
+    def async_step(self) -> None:
+        self.async_steps.inc()
 
 
 def trigger_family(trigger: str) -> str:

@@ -83,7 +83,10 @@ class Scheduler:
         if self.trace.enabled:
             self.hooks.subscribe(self.trace)
         self.metrics = FleetRegistry()
-        self._metrics_collector: Optional[MetricsCollector] = None
+        #: the metrics collector, fed directly by this scheduler and its
+        #: interpreter (never through the bus) once :meth:`enable_metrics`
+        #: attaches it
+        self.collector: Optional[MetricsCollector] = None
 
         self.clock = 0                     # wall-clock, microseconds
         self.done = False
@@ -165,11 +168,11 @@ class Scheduler:
 
     # ------------------------------------------------------- observability
     def enable_metrics(self) -> FleetRegistry:
-        """Attach (once) a metrics collector to the hook bus."""
-        if self._metrics_collector is None:
-            self._metrics_collector = MetricsCollector(self.metrics,
-                                                       sampled=self)
-            self.hooks.subscribe(self._metrics_collector)
+        """Attach (once) the metrics collector.  The VM feeds it directly
+        from then on, like :attr:`reaction_count`, and leaves the hook bus
+        alone: metrics alone keep ``hooks.enabled`` false."""
+        if self.collector is None:
+            self.collector = MetricsCollector(self.metrics, sampled=self)
         return self.metrics
 
     def stats(self) -> dict:
@@ -190,11 +193,11 @@ class Scheduler:
                 "async_jobs": len(self.async_jobs),
                 "input_queue_depth": len(self.input_queue),
                 "done": self.done,
-                "observed": self._metrics_collector is not None,
+                "observed": self.collector is not None,
             },
             "families": self.metrics.snapshot(),
         }
-        collector = self._metrics_collector
+        collector = self.collector
         if collector is not None and collector.reaction_latency.total:
             latency = collector.reaction_latency
             snap["derived"] = {
@@ -219,6 +222,8 @@ class Scheduler:
         trail.gen = self.interp.trail_body(self.bound.program.body, trail)
         self.root = trail
         self._live[trail] = None
+        if self.collector is not None:
+            self.collector.trail_spawn()
         if self.hooks.enabled:
             self.hooks.trail_spawn(trail.label, trail.path, self.clock)
             trail.wake_cause = self.hooks.last_span
@@ -332,6 +337,8 @@ class Scheduler:
                         if t.alive and t.waiting == "time"]
                 if not live:
                     continue
+                if self.collector is not None:
+                    self.collector.timer_fire()
                 hooked = self.hooks.enabled
                 if hooked:
                     prev_cause = self.hooks.cause
@@ -379,6 +386,8 @@ class Scheduler:
             self._complete_async(job, stop.value)
             return TERMINATED if self.done else RUNNING
         kind = req[0]
+        if self.collector is not None:
+            self.collector.async_step()
         hooked = self.hooks.enabled
         if hooked:
             self.hooks.async_step(job.seq, kind, self.clock)
@@ -454,8 +463,13 @@ class Scheduler:
         self.reaction_count += 1
         self._steps_this_reaction = 0
         hooked = self.hooks.enabled
-        if hooked:
+        collector = self.collector
+        timed = hooked or collector is not None
+        if timed:
             start_ns = time.perf_counter_ns()
+        if collector is not None:
+            collector.reaction_begin(trigger)
+        if hooked:
             self.hooks.reaction_begin(index, trigger, value,
                                       self._current_base)
             # the reaction span is the causal parent of everything it
@@ -487,11 +501,14 @@ class Scheduler:
             self._ready.clear()
             self._heap.clear()
             self._reacting = False
-            if hooked:
-                self.hooks.reaction_end(
-                    index, trigger, self._steps_this_reaction,
-                    time.perf_counter_ns() - start_ns)
-                self.hooks.cause = prev_cause
+            if timed:
+                steps = self._steps_this_reaction
+                wall_ns = time.perf_counter_ns() - start_ns
+                if hooked:
+                    self.hooks.reaction_end(index, trigger, steps, wall_ns)
+                    self.hooks.cause = prev_cause
+                if collector is not None:
+                    collector.reaction_end(steps, wall_ns)
         self._check_termination()
 
     def _enqueue_resume(self, trail: Trail, value: Any) -> None:
@@ -618,6 +635,8 @@ class Scheduler:
             gate = self.timers
             heapq.heappush(gate, (deadline, base, computed,
                                   next(self._seq), trail))
+            if self.collector is not None:
+                self.collector.timer_schedule()
             if self.hooks.enabled:
                 self.hooks.timer_schedule(deadline, trail.label, self.clock)
                 trail.wake_cause = self.hooks.last_span
@@ -695,6 +714,8 @@ class Scheduler:
                 self.hooks.trail_spawn(child.label, child.path, self.clock)
                 child.wake_cause = self.hooks.last_span
             self._enqueue_resume(child, None)
+        if self.collector is not None:
+            self.collector.trail_spawn(len(branches))
         return join
 
     def kill_region(self, join: Join) -> None:
@@ -717,6 +738,8 @@ class Scheduler:
         if not victims:
             return
         victims.sort(key=attrgetter("seq"))  # spawn order
+        if self.collector is not None:
+            self.collector.region_kill(len(victims))
         hooked = self.hooks.enabled
         if hooked:
             self.hooks.region_kill(join.region, len(victims), self.clock)
@@ -755,6 +778,8 @@ class Scheduler:
         top-level emit, +1 per nested emit triggered from an awakened
         trail."""
         self._emit_depth += 1
+        if self.collector is not None:
+            self.collector.emit_internal(sym.name, self._emit_depth)
         hooked = self.hooks.enabled
         if hooked:
             self.hooks.emit_internal(sym.name, self._emit_depth,
@@ -779,6 +804,8 @@ class Scheduler:
                 self.hooks.cause = prev_cause
 
     def emit_output(self, sym: EventSymbol, value: Any) -> None:
+        if self.collector is not None:
+            self.collector.emit_output()
         if self.hooks.enabled:
             self.hooks.emit_output(sym.name, value, self.clock)
         if self.output_handler is not None:
@@ -806,6 +833,8 @@ class Scheduler:
     def _complete_async(self, job: AsyncJob, value: Any) -> None:
         job.done = True
         job.result = value
+        if self.collector is not None:
+            self.collector.async_step()
         hooked = self.hooks.enabled
         if hooked:
             self.hooks.async_step(job.seq, "done", self.clock)
@@ -851,6 +880,8 @@ class Scheduler:
         self.result = value
         self._ready.clear()
         self._heap.clear()
+        if self.collector is not None:
+            self.collector.trail_kill(len(self._live))
         hooked = self.hooks.enabled
         for trail in self._live:
             trail.alive = False

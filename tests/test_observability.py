@@ -9,9 +9,11 @@ digested by ``Trace.signature()``.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lang.errors import RuntimeCeuError
 from repro.obs import (HOOK_EVENTS, ChromeTraceExporter, EventLog,
                        FleetRegistry, HookBus, HookSubscriber, Histogram,
                        JsonlExporter, MetricsCollector, render_stats)
@@ -234,6 +236,57 @@ class TestMetrics:
         assert stats["runtime"]["observed"] is False
         assert stats["families"] == {}     # no collector attached
 
+    def test_metrics_leave_the_bus_disabled(self):
+        """The VM feeds the collector directly: a metrics-only program
+        pays no hook dispatch and hands out no span ids."""
+        program = Program(COUNTER_SRC, observe=True)
+        assert not program.hooks.enabled
+        program.start()
+        program.send("A")
+        assert not program.hooks.enabled
+        assert program.hooks.span_seq == 0
+        c = counter_samples(program.stats()["families"])
+        assert c["reactions_total"] == 2 and c["emits_internal_total"] == 1
+
+    def test_programs_sharing_a_bus_count_only_their_own(self):
+        bus = HookBus()
+        log = bus.subscribe(EventLog())
+        one = Program(COUNTER_SRC, observe=True, hooks=bus)
+        two = Program(COUNTER_SRC, observe=True, hooks=bus)
+        one.start()
+        two.start()
+        for _ in range(5):
+            one.send("A")
+        # the bus still carries both programs' events to its subscribers
+        assert len(log.of("reaction_begin")) == 7
+        assert sample(one.stats()["families"], "reactions_total") == 6
+        assert sample(two.stats()["families"], "reactions_total") == 1
+
+    def test_step_limit_keeps_step_counts_in_agreement(self):
+        """A reaction cut by the step limit still reports the steps it
+        ran to both the ``steps_total`` family and the histogram."""
+        src = """
+        input void A;
+        int i = 0;
+        loop do
+           await A;
+           loop do
+              i = i + 1;
+           end
+        end
+        """
+        # the tight inner loop is what §2.5 refuses; skip the check
+        program = Program(src, observe=True, check=False)
+        program.sched.step_limit = 50
+        program.start()
+        with pytest.raises(RuntimeCeuError, match="step limit"):
+            program.send("A")
+        stats = program.stats()
+        spr = sample(stats["families"], "steps_per_reaction")
+        assert spr["count"] == 2 and spr["max"] == 51
+        assert stats["runtime"]["steps_total"] == spr["sum"]
+        assert sample(stats["families"], "steps_total") == spr["sum"]
+
     def test_histogram_bucketing(self):
         h = Histogram((1, 2, 4))
         for v in (0, 1, 2, 3, 5, 100):
@@ -245,10 +298,11 @@ class TestMetrics:
     def test_collector_standalone(self):
         reg = FleetRegistry()
         col = MetricsCollector(reg)
-        col.on_reaction_begin(0, "boot", None, 0)
-        col.on_reaction_end(0, "boot", 4, 2_000)
+        col.reaction_begin("boot")
+        col.reaction_end(4, 2_000)
         snap = reg.snapshot()
         assert sample(snap, "reactions_total") == 1
+        assert sample(snap, "steps_total") == 4
         assert sample(snap, "steps_per_reaction")["sum"] == 4
 
     def test_render_stats_is_textual(self):
