@@ -131,7 +131,8 @@ def parse_script_text(text: str) -> list[tuple]:
 
     One stimulus per line — ``E NAME [VALUE]`` delivers an external
     event, ``T US`` advances absolute time; blank lines and ``#``
-    comments are skipped.
+    comments are skipped.  A malformed line raises ``ValueError``
+    naming it (``script line N: …``).
     """
     script: list[tuple] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -140,15 +141,24 @@ def parse_script_text(text: str) -> list[tuple]:
             continue
         parts = line.split()
         if parts[0] == "E" and len(parts) in (2, 3):
-            value = int(parts[2]) if len(parts) == 3 else 0
+            value = (_script_int(parts[2], lineno, raw)
+                     if len(parts) == 3 else 0)
             script.append(("E", parts[1], value))
         elif parts[0] == "T" and len(parts) == 2:
-            script.append(("T", int(parts[1])))
+            script.append(("T", _script_int(parts[1], lineno, raw)))
         else:
             raise ValueError(
                 f"script line {lineno}: expected 'E NAME [VALUE]' or "
                 f"'T US', got {raw!r}")
     return script
+
+
+def _script_int(word: str, lineno: int, raw: str) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ValueError(f"script line {lineno}: expected an integer, "
+                         f"got {word!r} in {raw!r}") from None
 
 
 class _Scope:

@@ -26,6 +26,9 @@ _ESCAPES = {
     "n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
     "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v",
 }
+#: decimal digits: ASCII only (``str.isdigit`` also accepts ``²`` and
+#: other Unicode digits that ``int`` then refuses or reinterprets)
+_DIGITS = frozenset("0123456789")
 
 
 class Lexer:
@@ -117,7 +120,7 @@ class Lexer:
             order = order[order.index(unit) + 1:]
             pairs.append((unit, count))
             self._advance(len(unit))
-            if not self._peek().isdigit():
+            if self._peek() not in _DIGITS:
                 break
             count = self._scan_int()
             unit = self._peek_time_unit()
@@ -136,7 +139,7 @@ class Lexer:
                 if not (nxt.isalnum() or nxt == "_"):
                     return unit
                 # `1h35min` — unit followed by a digit continues the literal
-                if nxt.isdigit():
+                if nxt in _DIGITS:
                     return unit
         return None
 
@@ -149,7 +152,7 @@ class Lexer:
             if self.pos == start + 2:
                 raise self._error("malformed hex literal")
             return int(self.src[start:self.pos], 16)
-        while self._peek().isdigit():
+        while self._peek() in _DIGITS:
             self._advance()
         return int(self.src[start:self.pos])
 
@@ -286,7 +289,7 @@ class Lexer:
                                              self.filename))
                 return
             ch = self._peek()
-            if ch.isdigit():
+            if ch in _DIGITS:
                 yield self._scan_number_or_time()
             elif ch in "\"'":
                 yield self._scan_string()

@@ -82,6 +82,36 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
 
+class TestMalformedScripts:
+    """Every command that reads an event script refuses a malformed one
+    with a one-line ``script line N`` diagnostic and exit 1."""
+
+    PROG = "input int A;\nloop do\n   await A;\nend\n"
+
+    @pytest.mark.parametrize("text,expected", [
+        ("E A x\n", "script line 1: expected an integer"),
+        ("E A 1\nT 1e3\n", "script line 2: expected an integer"),
+        ("E A 1²\n", "script line 1: expected an integer"),
+        ("E A 1\nQ z\n", "script line 2: expected 'E NAME [VALUE]'")])
+    @pytest.mark.parametrize("argv", [
+        ["run", "{prog}", "--inputs", "{script}"],
+        ["why", "{prog}", "--inputs", "{script}", "--at", "reaction:0"],
+        ["debug", "{prog}", "--inputs", "{script}"],
+        ["farm", "{prog}", "-n", "2", "--workload", "{script}"],
+    ], ids=["run", "why", "debug", "farm"])
+    def test_one_line_diagnostic(self, argv, text, expected, ceu_file,
+                                 tmp_path, capsys):
+        script = tmp_path / "bad.script"
+        script.write_text(text)
+        paths = {"prog": ceu_file(self.PROG), "script": str(script)}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1, captured.err
+        assert f"{script}: {expected}" in err[0]
+        assert captured.out == ""
+
+
 EMITTER = """
 input int X;
 internal void e;

@@ -67,6 +67,20 @@ class TestNumbers:
         with pytest.raises(LexError):
             tokenize("'ab'")
 
+    @pytest.mark.parametrize("src", ["int x = 1²;", "int x = ٣;"])
+    def test_only_ascii_digits(self, src):
+        """``str.isdigit`` accepts ``²`` and ``٣``; the lexer must stop
+        the number there and refuse the character, not hand ``1²`` to
+        ``int``."""
+        bad = next(ch for ch in src if ord(ch) > 127)
+        with pytest.raises(LexError, match="unexpected character") as err:
+            tokenize(src)
+        assert err.value.span.start.col == src.index(bad) + 1
+
+    def test_only_ascii_digits_inside_time_literal(self):
+        with pytest.raises(LexError, match="lacks a unit"):
+            tokenize("await 1h3²min;")
+
 
 class TestTimeLiterals:
     @pytest.mark.parametrize("src,us", [

@@ -169,6 +169,29 @@ def test_did_change_to_parse_error_publishes_e001():
     assert "CEU-E001" in codes
 
 
+def test_did_change_to_unicode_digit_publishes_lex_error():
+    """``1²`` once crashed the lexer with a ``ValueError`` the server
+    swallowed, so version 2 got no diagnostics at all."""
+    out = run_server(
+        req(1, "initialize"),
+        note("textDocument/didOpen",
+             textDocument={"uri": URI, "languageId": "ceu",
+                           "version": 1, "text": COUNTER}),
+        note("textDocument/didChange",
+             textDocument={"uri": URI, "version": 2},
+             contentChanges=[{
+                 "range": {"start": {"line": 2, "character": 8},
+                           "end": {"line": 2, "character": 9}},
+                 "text": "1²"}]),      # int v = 1²;
+        req(2, "shutdown"), note("exit"))
+    pubs = published(out)
+    assert [p["version"] for p in pubs] == [1, 2]
+    diag, = pubs[1]["diagnostics"]
+    assert diag["code"] == "CEU-E001"
+    assert "unexpected character '²'" in diag["message"]
+    assert diag["range"]["start"] == {"line": 2, "character": 9}
+
+
 # ----------------------------------------------------------------- queries
 def test_definition_resolves_to_declaration():
     # cursor on the `v` of `v = v + 1;` (line 6, col 6)
