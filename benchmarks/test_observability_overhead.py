@@ -7,7 +7,8 @@ Four configurations of the same reaction-heavy workload:
 * **detached** — a subscriber attached and then removed before the run:
   the bus must fall back to exactly the off fast path (this is what a
   long-running system looks like after a profiling session ends);
-* **metrics** — the metrics collector attached;
+* **metrics** — the metrics collector attached (the VM feeds it
+  directly, so the bus stays off);
 * **full** — metrics + Chrome-trace + JSONL exporters.
 
 The benchmark asserts the paper-preserving property the seed VM was

@@ -6,8 +6,9 @@ writes a machine-readable snapshot:
 * **VM reaction throughput** over the standard fan-out workload, in
   five instrumentation configurations — ``off`` (no subscribers ever),
   ``detached`` (subscribed then unsubscribed: the hooks-off fast path
-  after a profiling session ends), ``metrics``, ``full`` (metrics +
-  both exporters), and ``causal`` (a :class:`~repro.obs.CausalGraph`
+  after a profiling session ends), ``metrics`` (the collector the VM
+  feeds directly; the bus stays off), ``full`` (metrics + both
+  exporters), and ``causal`` (a :class:`~repro.obs.CausalGraph`
   subscribed; recorded for the trajectory, not gated);
 * **reaction-latency percentiles** (p50/p95/p99 µs) from the profiler;
 * **deterministic counters** (reactions, steps, emits …) from the

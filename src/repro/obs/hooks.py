@@ -4,9 +4,11 @@ Every interesting runtime event — a reaction chain starting, a trail
 resuming or halting, an internal ``emit`` (with its §2.2 stack depth), a
 timer arming or firing, an async step, a region kill — is announced on a
 :class:`HookBus`.  Subscribers (the :class:`~repro.runtime.trace.Trace`
-recorder, the metrics collector, the Perfetto/JSONL exporters, or any
+recorder, the Perfetto/JSONL exporters, the causal graph, or any
 user-supplied :class:`HookSubscriber`) receive the events they care about
-and ignore the rest.
+and ignore the rest.  Metrics are not a subscriber: the VM feeds its
+:class:`~repro.obs.metrics.MetricsCollector` directly, so counting costs
+no dispatch.
 
 The bus is **off by default**: with no subscribers, ``bus.enabled`` is
 ``False`` and the emitting sites (scheduler, interpreter, DES kernel,

@@ -15,9 +15,10 @@ kernel (:class:`~repro.sim.des.Simulator`):
 * external events flow through **per-instance queues** realised on the
   calendar (:meth:`send` / :meth:`broadcast`), delivered in
   deterministic ``(time, seq)`` order;
-* every instance's hook bus can feed **one shared telemetry pipeline**:
-  a metrics collector per instance, filling that instance's
-  :class:`~repro.obs.fleet.FleetRegistry`, plus a
+* every instance keeps **its own metrics**: a collector its VM feeds
+  directly (no hook dispatch), filling that instance's
+  :class:`~repro.obs.fleet.FleetRegistry`; every instance's hook bus
+  can feed **one shared event pipeline**, a
   :class:`~repro.obs.stream.StreamingJsonlExporter` and/or
   :class:`~repro.obs.stream.FlightRecorder` receiving every instance's
   events (tagged ``"inst"``) under one global ``seq``;
