@@ -11,6 +11,9 @@ Four configurations of the same reaction-heavy workload:
   directly, so the bus stays off);
 * **full** — metrics + Chrome-trace + JSONL exporters.
 
+Workload and modes are ``repro bench``'s own
+(:func:`repro.bench.time_mode`), so the two cannot drift apart.
+
 The benchmark asserts the paper-preserving property the seed VM was
 measured under: the hooks-off fast path must stay within noise of a VM
 that never grew a hook bus.  ``off ≈ detached`` is the empirical pin —
@@ -19,43 +22,18 @@ both run the identical guarded no-op path, so any spread between them
 the disabled path.
 """
 
-import time
-
 from conftest import publish, record_metrics
 
-from repro.obs import ChromeTraceExporter, JsonlExporter, Profiler
-from repro.runtime import Program
-
-from test_vm_throughput import make_fanout
-
-TRAILS = 16
-EVENTS = 300
-
-
-def run_once(mode: str) -> float:
-    program = Program(make_fanout(TRAILS),
-                      observe=mode in ("metrics", "full"))
-    if mode == "full":
-        program.observe(ChromeTraceExporter())
-        program.observe(JsonlExporter())
-    elif mode == "detached":
-        probe = program.observe(Profiler())
-        program.hooks.unsubscribe(probe)
-        assert not program.hooks.enabled
-    start = time.perf_counter()
-    program.start()
-    for _ in range(EVENTS):
-        program.send("A")
-    elapsed = time.perf_counter() - start
-    if mode == "metrics":
-        record_metrics("observability_overhead", program.stats())
-    return elapsed
+from repro.bench import time_mode
 
 
 def test_observability_overhead(benchmark):
-    timings = {mode: min(run_once(mode) for _ in range(5))
-               for mode in ("off", "detached", "metrics", "full")}
-    benchmark(run_once, "off")
+    timings = {}
+    for mode in ("off", "detached", "metrics", "full"):
+        timings[mode], program = time_mode(mode, 5)
+        if mode == "metrics":
+            record_metrics("observability_overhead", program.stats())
+    benchmark(time_mode, "off", 1)
     rows = [f"{mode:8s} {secs * 1e3:8.2f} ms  "
             f"(x{secs / timings['off']:.2f} vs off)"
             for mode, secs in timings.items()]
@@ -70,9 +48,10 @@ def test_hooks_off_fast_path_within_noise_of_seed_vm(benchmark):
     execute the identical guarded fast path, so a generous 1.5x bound
     catches real regressions (an accidentally-enabled bus costs 3-10x)
     without flaking on scheduler noise."""
-    off = min(run_once("off") for _ in range(5))
-    detached = min(run_once("detached") for _ in range(5))
-    benchmark(run_once, "detached")
+    off, _ = time_mode("off", 5)
+    detached, program = time_mode("detached", 5)
+    assert not program.hooks.enabled
+    benchmark(time_mode, "detached", 1)
     publish("hooks_off_fast_path",
             f"off      {off * 1e3:8.2f} ms\n"
             f"detached {detached * 1e3:8.2f} ms  (x{detached / off:.2f})")

@@ -4,18 +4,8 @@ negligible, promoting fine-grained trails, §2.1)."""
 
 from conftest import publish, record_metrics
 
+from repro.bench import make_fanout
 from repro.runtime import Program
-
-
-def make_fanout(n: int) -> str:
-    decls = "\n".join(f"int n{i} = 0;" for i in range(n))
-    if n == 1:
-        return (f"input void A;\n{decls}\n"
-                f"loop do\n   await A;\n   n0 = n0 + 1;\nend")
-    branches = "\nwith\n".join(
-        f"   loop do\n      await A;\n      n{i} = n{i} + 1;\n   end"
-        for i in range(n))
-    return f"input void A;\n{decls}\npar do\n{branches}\nend"
 
 
 def run_reactions(trails: int, events: int = 200,

@@ -1,55 +1,56 @@
 """Benchmark snapshots and the perf regression gate (``repro bench``).
 
 One command measures the repo's performance-sensitive surfaces and
-writes a machine-readable snapshot:
+writes a machine-readable snapshot.  Each section is declared once in
+:data:`SECTIONS` (run function, summary line, gates); an optional one
+runs under its own flag and is also written as ``BENCH_<section>.json``.
 
-* **VM reaction throughput** over the standard fan-out workload, in
-  five instrumentation configurations — ``off`` (no subscribers ever),
-  ``detached`` (subscribed then unsubscribed: the hooks-off fast path
-  after a profiling session ends), ``metrics`` (the collector the VM
-  feeds directly; the bus stays off), ``full`` (metrics + both
-  exporters), and ``causal`` (a :class:`~repro.obs.CausalGraph`
-  subscribed; recorded for the trajectory, not gated);
-* **reaction-latency percentiles** (p50/p95/p99 µs) from the profiler;
-* **deterministic counters** (reactions, steps, emits …) from the
-  metrics run — machine-independent, gated *exactly*;
-* **DES + streaming-exporter throughput** with the exporter's resident
-  high-water mark;
-* **bookkeeping flatness** — the rate of a reaction that wakes 1 of N
-  idle trails for N in :data:`FLAT_TRAILS`, and the leak program's rate
-  young and aged; ``--check`` holds both ratios to :data:`FLAT_FLOOR`.
+* ``vm``: reaction throughput over the fan-out workload in five
+  instrumentation modes (``off``; ``detached``, subscribed then
+  unsubscribed; ``metrics``, fed directly by the VM with the bus off;
+  ``full``, metrics + both exporters; ``causal``, a CausalGraph,
+  recorded only), latency percentiles and the deterministic counters.
+  Gates: counters equal the baseline's exactly; the
+  :data:`RATIO_KEYS` ratios stay within ``--tolerance`` of the
+  baseline's; ``detached_vs_off`` stays under 1.5.
+* ``stream``: DES + streaming-exporter throughput.  Gate: the
+  exporter's ``resident_high`` stays within ``flush_every``.
+* ``flatness``: waking 1 of N idle trails for N in :data:`FLAT_TRAILS`,
+  and the leak program young and aged.  Gate: both ratios reach
+  :data:`FLAT_FLOOR`.
+* ``farm`` (``--farm``): spawn and event throughput of the reactor farm
+  with telemetry attached vs detached, cross-instance latency, and
+  resident bytes per instance beside the static bounds.  Never gated.
+* ``analysis`` (``--analysis``): incremental-vs-cold lint latency.
+  Gate: every incremental report equals the cold run's.
+* ``serve`` (``--serve``): admin-server overhead on the farm drive.
+  Gate: idle server <= :data:`SERVE_BUDGET`.
+* ``checkpoint`` (``--checkpoint``): journal-recording overhead,
+  capture/restore cost, warm starts.  Gates: recording <=
+  :data:`CHECKPOINT_BUDGET`, warm speedup >= :data:`WARM_SPEEDUP_MIN`.
 
 Snapshots are written as timestamped ``BENCH_<UTCSTAMP>.json`` files
 under ``benchmarks/`` (never the repo root) so a perf trajectory
-accumulates across commits.  ``--check`` compares a fresh snapshot
-against the committed baseline (``benchmarks/BENCH_baseline.json``):
-deterministic counters must match exactly; instrumentation-overhead
-*ratios* (metrics/off, full/off, detached/off) must stay within
-``--tolerance`` of the baseline ratios.  Absolute wall-clock times are
-recorded for the trajectory but never gated — they measure the CI
-machine, not the code.
-
-``--farm`` additionally measures the reactor farm
-(:mod:`repro.runtime.farm`): instance-spawn and event throughput with
-fleet telemetry attached vs detached, cross-instance reaction-latency
-percentiles, and resident bytes per instance beside the
-:mod:`repro.analysis.bounds` static prediction.  The farm section is
-recorded in the snapshot *and* as ``benchmarks/BENCH_farm.json``; it is
-never gated (yet) — the numbers seed the trajectory the compiled tier
-will be measured against.
+accumulates across commits.  A plain run only records.  ``--check``
+first writes every artifact, then runs every measured section's gates
+through :func:`check_regression` against the committed baseline
+(``benchmarks/BENCH_baseline.json``).  Absolute wall-clock times are
+recorded but never gated: they measure the machine, not the code.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
-from .obs import (ChromeTraceExporter, JsonlExporter, Profiler,
-                  StreamingJsonlExporter)
+from .obs import (CausalGraph, ChromeTraceExporter, JsonlExporter,
+                  Profiler, StreamingJsonlExporter)
 from .obs.fleet import counter_samples, sample
 from .obs.hooks import HookBus
 from .runtime import Program
@@ -58,29 +59,17 @@ from .sim.des import Simulator
 SCHEMA = 1
 
 #: every benchmark artifact lives here — snapshots, the baseline, the
-#: farm record; ``repro bench`` never writes into the repo root
+#: optional sections' ``BENCH_<section>.json``; ``repro bench`` never
+#: writes into the repo root
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 #: the committed regression baseline (see ``--update-baseline``)
 BASELINE_PATH = BENCH_DIR / "BENCH_baseline.json"
 
-#: the reactor-farm record (``--farm``; recorded, not gated)
-FARM_PATH = BENCH_DIR / "BENCH_farm.json"
-
-#: the incremental-analysis record (``--analysis``; recorded, not gated)
-ANALYSIS_PATH = BENCH_DIR / "BENCH_analysis.json"
-
-#: the telemetry-plane serving-path record (``--serve``; the idle-server
-#: drive ratio IS gated — see SERVE_BUDGET)
-SERVE_PATH = BENCH_DIR / "BENCH_serve.json"
-
 #: hard ceiling on attached-server drive overhead: an idle admin server
 #: must cost the reaction path <= 5% (the near-zero-cost instrumentation
 #: budget; scraped-under-load is recorded, not gated)
 SERVE_BUDGET = 1.05
-
-#: the checkpoint-plane record (``--checkpoint``; both ratios gated)
-CHECKPOINT_PATH = BENCH_DIR / "BENCH_checkpoint.json"
 
 #: hard ceiling on journal-recording drive overhead: keeping every
 #: instance checkpointable must cost the farm drive loop <= 5%
@@ -133,31 +122,35 @@ FARM_MEM_SAMPLE = 500
 
 
 def make_fanout(n: int) -> str:
-    """The standard reaction-throughput workload: ``n`` parallel trails
-    all waking on one broadcast event (same shape as
-    ``benchmarks/test_vm_throughput.py``)."""
+    """The standard reaction-throughput workload: ``n`` trails all
+    waking on one broadcast event (one trail is a bare loop: a ``par``
+    needs two branches)."""
     decls = "\n".join(f"int n{i} = 0;" for i in range(n))
+    if n == 1:
+        return (f"input void A;\n{decls}\n"
+                f"loop do\n   await A;\n   n0 = n0 + 1;\nend")
     branches = "\nwith\n".join(
         f"   loop do\n      await A;\n      n{i} = n{i} + 1;\n   end"
         for i in range(n))
     return f"input void A;\n{decls}\npar do\n{branches}\nend"
 
 
-def _drive(program: Program, events: Optional[int] = None) -> float:
-    if events is None:
-        events = EVENTS          # late-bound so tests can shrink it
+def _ratio(num: float, den: float) -> float:
+    return num / den if den else 0.0
+
+
+def _drive(program: Program) -> float:
     start = time.perf_counter()
     program.start()
-    for _ in range(events):
+    for _ in range(EVENTS):
         program.send("A")
     return time.perf_counter() - start
 
 
-def _time_mode(mode: str, repeats: int) -> tuple[float, Optional[dict]]:
-    """Best-of-``repeats`` seconds for one instrumentation mode; the
-    metrics mode also returns its (deterministic) stats snapshot."""
+def time_mode(mode: str, repeats: int) -> tuple[float, Program]:
+    """Best-of-``repeats`` seconds for one instrumentation mode, and the
+    last program driven (for its stats)."""
     best = float("inf")
-    stats = None
     for _ in range(repeats):
         program = Program(make_fanout(TRAILS),
                           observe=mode in ("metrics", "full"))
@@ -165,8 +158,6 @@ def _time_mode(mode: str, repeats: int) -> tuple[float, Optional[dict]]:
             program.observe(ChromeTraceExporter())
             program.observe(JsonlExporter())
         elif mode == "causal":
-            from .obs import CausalGraph
-
             program.observe(CausalGraph(program.hooks))
         elif mode == "detached":
             # subscribe + unsubscribe: the bus must drop back to the
@@ -174,21 +165,17 @@ def _time_mode(mode: str, repeats: int) -> tuple[float, Optional[dict]]:
             probe = program.observe(Profiler())
             program.hooks.unsubscribe(probe)
         best = min(best, _drive(program))
-        if mode == "metrics" and stats is None:
-            stats = program.stats()
-    return best, stats
+    return best, program
 
 
 def bench_vm(repeats: int = 3) -> dict:
     """Reaction throughput in all five instrumentation modes, plus the
     deterministic counters and the profiler's latency percentiles."""
     timings = {}
-    counters = {}
     for mode in ("off", "detached", "metrics", "full", "causal"):
-        secs, stats = _time_mode(mode, repeats)
-        timings[mode] = secs
-        if stats is not None:
-            counters = counter_samples(stats["families"])
+        timings[mode], program = time_mode(mode, repeats)
+        if mode == "metrics":
+            counters = counter_samples(program.stats()["families"])
     program = Program(make_fanout(TRAILS))
     profiler = program.observe(Profiler())
     _drive(program)
@@ -198,16 +185,43 @@ def bench_vm(repeats: int = 3) -> dict:
     return {
         "workload": {"trails": TRAILS, "events": EVENTS},
         "timings_s": timings,
-        "ratios": {
-            "metrics_vs_off": timings["metrics"] / off,
-            "full_vs_off": timings["full"] / off,
-            "detached_vs_off": timings["detached"] / off,
-            "causal_vs_off": timings["causal"] / off,
-        },
+        "ratios": {f"{mode}_vs_off": timings[mode] / off
+                   for mode in ("metrics", "full", "detached", "causal")},
         "reactions_per_s": (EVENTS + 1) / off,
         "counters": counters,
         "latency_us": latency,
     }
+
+
+def _vm_line(vm: dict) -> str:
+    return (f"{vm['reactions_per_s']:.0f} reactions/s off; ratios "
+            + ", ".join(f"{k}={vm['ratios'][k]:.2f}" for k in RATIO_KEYS))
+
+
+def _vm_gates(vm: dict, base: dict, tolerance: float) -> list[str]:
+    problems = []
+    counters = vm.get("counters", {})
+    for key, expect in sorted(base.get("counters", {}).items()):
+        got = counters.get(key)
+        if got != expect:
+            problems.append(f"counter {key}: expected {expect}, got {got}")
+    base_ratios = base.get("ratios", {})
+    ratios = vm.get("ratios", {})
+    for key in RATIO_KEYS:
+        expect = base_ratios.get(key)
+        got = ratios.get(key)
+        if expect is None or got is None:
+            problems.append(f"ratio {key}: missing "
+                            f"(baseline={expect}, snapshot={got})")
+            continue
+        if got > expect * (1.0 + tolerance):
+            problems.append(f"ratio {key}: {got:.2f} exceeds baseline "
+                            f"{expect:.2f} by more than {tolerance:.0%}")
+    got = ratios.get("detached_vs_off")
+    if got is not None and got > 1.5:
+        problems.append(f"ratio detached_vs_off: {got:.2f} > 1.5 — the "
+                        f"unsubscribed bus is no longer a no-op")
+    return problems
 
 
 def make_idle(n: int) -> str:
@@ -259,19 +273,32 @@ def bench_flatness(repeats: int = 3) -> dict:
     }
 
 
-def bench_stream(tmpdir: Path, n_events: Optional[int] = None) -> dict:
+def _flatness_line(flat: dict) -> str:
+    return (", ".join(f"{k}={v:.2f}" for k, v in flat["ratios"].items())
+            + f" (floor {flat['floor']:.2f})")
+
+
+def _flatness_gates(flat: dict, base: dict, tolerance: float) -> list[str]:
+    return [f"flatness {key}: {got:.2f} below the {FLAT_FLOOR:.2f} floor "
+            f"— bookkeeping grows with idle trails or program age"
+            for key, got in flat.get("ratios", {}).items()
+            if got < FLAT_FLOOR]
+
+
+def bench_stream() -> dict:
     """DES calendar churn with the streaming exporter attached: export
     throughput and the exporter's bounded-memory high-water mark."""
-    if n_events is None:
-        n_events = DES_EVENTS    # late-bound so tests can shrink it
-    path = Path(tmpdir) / "stream.jsonl"
+    import tempfile
+
     bus = HookBus()
     sim = Simulator(hooks=bus)
-    with StreamingJsonlExporter(path, flush_every=512) as exporter:
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp, \
+            StreamingJsonlExporter(Path(tmp) / "stream.jsonl",
+                                   flush_every=512) as exporter:
         bus.subscribe(exporter)
 
         def tick(i: int = 0):
-            if i < n_events:
+            if i < DES_EVENTS:
                 sim.after(10, lambda: tick(i + 1))
 
         start = time.perf_counter()
@@ -283,10 +310,25 @@ def bench_stream(tmpdir: Path, n_events: Optional[int] = None) -> dict:
         "des_events": sim.events_fired,
         "records": exporter.seq,
         "elapsed_s": elapsed,
-        "records_per_s": exporter.seq / elapsed if elapsed else 0.0,
+        "records_per_s": _ratio(exporter.seq, elapsed),
         "resident_high": resident_high,
         "flush_every": exporter.flush_every,
     }
+
+
+def _stream_line(stream: dict) -> str:
+    return (f"{stream['records_per_s']:.0f} records/s, "
+            f"resident high {stream['resident_high']}")
+
+
+def _stream_gates(stream: dict, base: dict, tolerance: float) -> list[str]:
+    resident = stream.get("resident_high")
+    flush = stream.get("flush_every")
+    if (base.get("resident_high") is not None and resident is not None
+            and flush and resident > flush):
+        return [f"stream resident_high {resident} exceeds "
+                f"flush_every {flush}: streaming is buffering"]
+    return []
 
 
 def _farm_mode(source: str, n: int, sim_us: int,
@@ -305,9 +347,9 @@ def _farm_mode(source: str, n: int, sim_us: int,
     timings = {
         "spawn_s": spawn_s,
         "drive_s": drive_s,
-        "instances_per_s": n / spawn_s if spawn_s else 0.0,
+        "instances_per_s": _ratio(n, spawn_s),
         "reactions": reactions,
-        "events_per_s": reactions / drive_s if drive_s else 0.0,
+        "events_per_s": _ratio(reactions, drive_s),
     }
     return timings, farm.fleet_snapshot()
 
@@ -332,25 +374,21 @@ def _farm_resident(source: str, n: int, observe: bool) -> float:
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return (current - base) / n if n else 0.0
+    return _ratio(current - base, n)
 
 
-def bench_farm(n_instances: Optional[int] = None,
-               sim_us: Optional[int] = None) -> dict:
+def bench_farm() -> dict:
     """The reactor-farm section: spawn/drive throughput with telemetry
     attached vs detached, cross-instance latency percentiles, and
     resident bytes per instance beside the static-bounds prediction."""
     from .apps import load
 
-    if n_instances is None:
-        n_instances = FARM_INSTANCES   # late-bound so tests can shrink it
-    if sim_us is None:
-        sim_us = FARM_SIM_US
+    n, sim_us = FARM_INSTANCES, FARM_SIM_US
     source = load("blink")
-    attached, fleet = _farm_mode(source, n_instances, sim_us, True)
-    detached, _ = _farm_mode(source, n_instances, sim_us, False)
+    attached, fleet = _farm_mode(source, n, sim_us, True)
+    detached, _ = _farm_mode(source, n, sim_us, False)
     latency = sample(fleet["families"], "reaction_latency_us", {})
-    mem_sample = min(FARM_MEM_SAMPLE, n_instances)
+    mem_sample = min(FARM_MEM_SAMPLE, n)
     resident = {
         "sample_instances": mem_sample,
         "attached_bytes": _farm_resident(source, mem_sample, True),
@@ -364,17 +402,14 @@ def bench_farm(n_instances: Optional[int] = None,
     bound = bind(parse(source, "blink.ceu"))
     bounds = compute_bounds(bound, build_dfa(bound))
     return {
-        "workload": {"program": "blink", "instances": n_instances,
-                     "sim_us": sim_us},
+        "workload": {"program": "blink", "instances": n, "sim_us": sim_us},
         "attached": attached,
         "detached": detached,
         "overhead": {
             "attached_vs_detached_spawn":
-                attached["spawn_s"] / detached["spawn_s"]
-                if detached["spawn_s"] else 0.0,
+                _ratio(attached["spawn_s"], detached["spawn_s"]),
             "attached_vs_detached_drive":
-                attached["drive_s"] / detached["drive_s"]
-                if detached["drive_s"] else 0.0,
+                _ratio(attached["drive_s"], detached["drive_s"]),
         },
         "latency_us": {k: latency.get(k)
                        for k in ("p50", "p95", "p99", "mean", "max")},
@@ -382,6 +417,17 @@ def bench_farm(n_instances: Optional[int] = None,
         "bounds": bounds.as_dict(),
         "counters": counter_samples(fleet["families"]),
     }
+
+
+def _farm_line(farm: dict) -> str:
+    att = farm["attached"]
+    return (f"{farm['workload']['instances']} instances, "
+            f"{att['instances_per_s']:.0f} spawns/s, "
+            f"{att['events_per_s']:.0f} reactions/s attached, "
+            f"p99 {farm['latency_us']['p99']} us, "
+            f"{farm['resident_bytes_per_instance']['attached_bytes']:.0f}"
+            f" B/instance (drive overhead "
+            f"{farm['overhead']['attached_vs_detached_drive']:.2f}x)")
 
 
 SERVE_INSTANCES = 2_000
@@ -436,8 +482,7 @@ def _serve_drive(source: str, n: int, sim_us: int,
     return elapsed, reactions
 
 
-def bench_serve(n_instances: Optional[int] = None,
-                sim_us: Optional[int] = None, repeats: int = 3) -> dict:
+def bench_serve(repeats: int = 3) -> dict:
     """The serving-path overhead section (``bench --serve``).
 
     Interleaved best-of-``repeats`` drives of a *detached* farm (no
@@ -445,29 +490,24 @@ def bench_serve(n_instances: Optional[int] = None,
     the baseline is as fast as the farm gets) in the three modes, plus
     one measured scrape of ``/metrics`` and ``/snapshot``.  The
     ``idle_vs_noserver`` ratio is gated at :data:`SERVE_BUDGET`."""
-    import json as _json
     import urllib.request
 
     from .apps import load
     from .obs import AdminServer
     from .runtime.farm import Farm
 
-    if n_instances is None:
-        n_instances = SERVE_INSTANCES  # late-bound so tests can shrink it
-    if sim_us is None:
-        sim_us = SERVE_SIM_US
+    n, sim_us = SERVE_INSTANCES, SERVE_SIM_US
     source = load("blink")
     best = {"noserver": float("inf"), "idle": float("inf"),
             "scraped": float("inf")}
     reactions = 0
     for _ in range(repeats):
         for mode in best:
-            elapsed, reactions = _serve_drive(source, n_instances,
-                                              sim_us, mode)
+            elapsed, reactions = _serve_drive(source, n, sim_us, mode)
             best[mode] = min(best[mode], elapsed)
 
     # one served farm, scraped once per endpoint, for latency/size
-    farm = Farm(source, n=n_instances, program="blink", observe=False)
+    farm = Farm(source, n=n, program="blink", observe=False)
     farm.run_until(sim_us)
     server = AdminServer(farm.fleet_snapshot,
                          health_fn=farm.watchdog).start()
@@ -482,22 +522,18 @@ def bench_serve(n_instances: Optional[int] = None,
                 "latency_ms": (time.perf_counter() - start) * 1e3,
                 "bytes": len(body),
             }
-        snap = _json.loads(
-            urllib.request.urlopen(server.address + "/snapshot",
-                                   timeout=5).read())
     finally:
         server.close()
-    idle_ratio = best["idle"] / best["noserver"] \
-        if best["noserver"] else 0.0
-    scraped_ratio = best["scraped"] / best["noserver"] \
-        if best["noserver"] else 0.0
+    snap = json.loads(body)                # /snapshot is read last
+    idle_ratio = _ratio(best["idle"], best["noserver"])
+    scraped_ratio = _ratio(best["scraped"], best["noserver"])
     return {
-        "workload": {"program": "blink", "instances": n_instances,
+        "workload": {"program": "blink", "instances": n,
                      "sim_us": sim_us, "repeats": repeats,
                      "detached": True},
         "drive_s": best,
         "reactions": reactions,
-        "events_per_s": {mode: reactions / secs if secs else 0.0
+        "events_per_s": {mode: _ratio(reactions, secs)
                          for mode, secs in best.items()},
         "overhead": {
             "idle_vs_noserver": idle_ratio,
@@ -508,6 +544,24 @@ def bench_serve(n_instances: Optional[int] = None,
         "endpoints": endpoints,
         "snapshot_counters": counter_samples(snap["families"]),
     }
+
+
+def _serve_line(serve: dict) -> str:
+    over = serve["overhead"]
+    return (f"{serve['workload']['instances']} instances, "
+            f"{serve['events_per_s']['noserver']:.0f} "
+            f"reactions/s detached; overhead idle "
+            f"{over['idle_vs_noserver']:.3f}x, scraped "
+            f"{over['scraped_vs_noserver']:.3f}x "
+            f"(budget {serve['budget']['idle_vs_noserver_max']:.2f}x)")
+
+
+def _serve_gates(serve: dict, base: dict, tolerance: float) -> list[str]:
+    if serve["budget"]["within_budget"]:
+        return []
+    return [f"serve: idle overhead "
+            f"{serve['overhead']['idle_vs_noserver']:.3f}x exceeds "
+            f"{serve['budget']['idle_vs_noserver_max']:.2f}x budget"]
 
 
 CKPT_INSTANCES = 200
@@ -540,9 +594,7 @@ def _instrumented_farm(source: str, tmp: Path, tag: str):
     return farm
 
 
-def bench_checkpoint(n_instances: Optional[int] = None,
-                     sim_us: Optional[int] = None,
-                     repeats: int = 3) -> dict:
+def bench_checkpoint(repeats: int = 3) -> dict:
     """The checkpoint-plane section (``bench --checkpoint``).
 
     Three measurements:
@@ -567,23 +619,16 @@ def bench_checkpoint(n_instances: Optional[int] = None,
     from .runtime.checkpoint import restore
     from .runtime.farm import Farm, _StubCEnv
 
-    if n_instances is None:
-        n_instances = CKPT_INSTANCES   # late-bound so tests can shrink it
-    if sim_us is None:
-        sim_us = CKPT_SIM_US
+    n, sim_us = CKPT_INSTANCES, CKPT_SIM_US
     source = load("blink")
 
     # 1) journal-recording overhead on the farm drive loop (gated)
     best = {"norecord": float("inf"), "record": float("inf")}
     for _ in range(repeats):
-        best["norecord"] = min(best["norecord"],
-                               _ckpt_drive(source, n_instances, sim_us,
-                                           False))
-        best["record"] = min(best["record"],
-                             _ckpt_drive(source, n_instances, sim_us,
-                                         True))
-    record_ratio = best["record"] / best["norecord"] \
-        if best["norecord"] else 0.0
+        for mode in best:
+            elapsed = _ckpt_drive(source, n, sim_us, mode == "record")
+            best[mode] = min(best[mode], elapsed)
+    record_ratio = _ratio(best["record"], best["norecord"])
 
     # 2) capture + restore cost and size on one driven instance
     seed = Farm(source, n=1, program="blink", observe=False, record=True)
@@ -610,7 +655,7 @@ def bench_checkpoint(n_instances: Optional[int] = None,
         for r in range(repeats):
             farm = _instrumented_farm(source, Path(tmp), f"cold{r}")
             start = time.perf_counter()
-            farm.spawn(n_instances, program="blink")
+            farm.spawn(n, program="blink")
             farm.run_until(sim_us)
             cold_s = min(cold_s, time.perf_counter() - start)
             farm.close()
@@ -618,14 +663,14 @@ def bench_checkpoint(n_instances: Optional[int] = None,
         for r in range(repeats):
             farm = _instrumented_farm(source, Path(tmp), f"warm{r}")
             start = time.perf_counter()
-            farm.spawn(n_instances, program="blink", warm_from=ck)
+            farm.spawn(n, program="blink", warm_from=ck)
             warm_s = min(warm_s, time.perf_counter() - start)
             farm.close()
-    warm_speedup = cold_s / warm_s if warm_s else 0.0
+    warm_speedup = _ratio(cold_s, warm_s)
     within = (record_ratio <= CHECKPOINT_BUDGET
               and warm_speedup >= WARM_SPEEDUP_MIN)
     return {
-        "workload": {"program": "blink", "instances": n_instances,
+        "workload": {"program": "blink", "instances": n,
                      "sim_us": sim_us, "repeats": repeats},
         "drive_s": best,
         "overhead": {"record_vs_norecord": record_ratio},
@@ -640,8 +685,8 @@ def bench_checkpoint(n_instances: Optional[int] = None,
             "cold_boot_s": cold_s,
             "warm_s": warm_s,
             "speedup": warm_speedup,
-            "cold_per_instance_ms": cold_s / n_instances * 1e3,
-            "warm_per_instance_ms": warm_s / n_instances * 1e3,
+            "cold_per_instance_ms": cold_s / n * 1e3,
+            "warm_per_instance_ms": warm_s / n * 1e3,
         },
         "budget": {
             "record_vs_norecord_max": CHECKPOINT_BUDGET,
@@ -649,6 +694,39 @@ def bench_checkpoint(n_instances: Optional[int] = None,
             "within_budget": within,
         },
     }
+
+
+def _checkpoint_line(ckpt: dict) -> str:
+    cap = ckpt["capture"]
+    warm = ckpt["warm_start"]
+    budget = ckpt["budget"]
+    return (f"{ckpt['workload']['instances']} instances; "
+            f"recording overhead "
+            f"{ckpt['overhead']['record_vs_norecord']:.3f}x "
+            f"(budget {budget['record_vs_norecord_max']:.2f}x); "
+            f"snapshot {cap['snapshot_s'] * 1e3:.2f}ms / "
+            f"restore {cap['restore_s'] * 1e3:.2f}ms / "
+            f"{cap['bytes']} B; warm start "
+            f"{warm['warm_per_instance_ms']:.3f}ms/inst vs cold "
+            f"{warm['cold_per_instance_ms']:.3f}ms/inst "
+            f"= {warm['speedup']:.1f}x "
+            f"(floor {budget['warm_speedup_min']:.0f}x)")
+
+
+def _checkpoint_gates(ckpt: dict, base: dict,
+                      tolerance: float) -> list[str]:
+    budget = ckpt["budget"]
+    ratio = ckpt["overhead"]["record_vs_norecord"]
+    speedup = ckpt["warm_start"]["speedup"]
+    problems = []
+    if ratio > budget["record_vs_norecord_max"]:
+        problems.append(f"checkpoint: recording overhead {ratio:.3f}x "
+                        f"exceeds {budget['record_vs_norecord_max']:.2f}x "
+                        f"budget")
+    if speedup < budget["warm_speedup_min"]:
+        problems.append(f"checkpoint: warm-start speedup {speedup:.1f}x "
+                        f"below {budget['warm_speedup_min']:.0f}x floor")
+    return problems
 
 
 def _analysis_corpus() -> list[Path]:
@@ -686,10 +764,10 @@ def bench_analysis(repeats: int = 3) -> dict:
     single-region edit kinds — a comment insertion (token stream
     unchanged: full DFA replay) and an integer-literal bump (masked
     token stream unchanged: DFA replay unless the file has conflicts).
-    Every incremental report is verified byte-identical to the cold run
-    of the same text.  Recorded, never gated — absolute times measure
-    the machine; the per-file speedups and the identical flags are the
-    trajectory."""
+    Every incremental report is compared byte for byte with the cold run
+    of the same text; :func:`check_regression` gates that identity.  The
+    times and per-file speedups are recorded, never gated — they measure
+    the machine."""
     from .analysis import IncrementalAnalyzer, run_analysis
 
     per_file = []
@@ -722,7 +800,7 @@ def bench_analysis(repeats: int = 3) -> dict:
             identical = identical and ok
             entry[kind] = {
                 "incremental_s": inc_s,
-                "speedup": cold_s / inc_s if inc_s else 0.0,
+                "speedup": _ratio(cold_s, inc_s),
                 "identical": ok,
             }
         entry["stats"] = dict(analyzer.stats)
@@ -751,227 +829,147 @@ def bench_analysis(repeats: int = 3) -> dict:
     }
 
 
-def snapshot(repeats: int = 3, farm: bool = False,
-             analysis: bool = False, serve: bool = False,
-             checkpoint: bool = False) -> dict:
-    """The full ``repro bench`` measurement (pure data, JSON-ready)."""
-    import tempfile
+def _analysis_line(analysis: dict) -> str:
+    summary = analysis["summary"]
+    return (f"{analysis['workload']['files']} files, "
+            f"comment-edit speedup geomean "
+            f"{summary['comment_speedup_geomean']:.1f}x "
+            f"(min {summary['comment_speedup_min']:.1f}x), "
+            f"literal-edit geomean "
+            f"{summary['literal_speedup_geomean']:.1f}x, "
+            f"identical={summary['all_identical']}")
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        stream = bench_stream(Path(tmp))
+
+def _analysis_gates(analysis: dict, base: dict,
+                    tolerance: float) -> list[str]:
+    if analysis["summary"]["all_identical"]:
+        return []
+    return ["analysis: an incremental report differs from the cold run "
+            "of the same text"]
+
+
+def _ungated(data: dict, base: dict, tolerance: float) -> list[str]:
+    return []
+
+
+@dataclass(frozen=True)
+class Section:
+    """One ``repro bench`` section, declared once under its name in
+    :data:`SECTIONS`.
+
+    ``run(repeats)`` measures it; ``summary(data)`` renders its stdout
+    line after ``"<name>: "``; ``gates(data, baseline, tolerance)``
+    returns its violations against the baseline's section of the same
+    name (empty = pass).  An ``optional`` section runs only under its
+    ``--<name>`` flag and is also written standalone as
+    ``BENCH_<name>.json``."""
+
+    run: Callable[[int], dict]
+    summary: Callable[[dict], str]
+    gates: Callable[[dict, dict, float], list[str]] = _ungated
+    optional: bool = False
+
+
+#: every section, in run and print order
+SECTIONS = {
+    "vm": Section(bench_vm, _vm_line, _vm_gates),
+    "stream": Section(lambda repeats: bench_stream(), _stream_line,
+                      _stream_gates),
+    "flatness": Section(bench_flatness, _flatness_line, _flatness_gates),
+    "farm": Section(lambda repeats: bench_farm(), _farm_line,
+                    optional=True),
+    "analysis": Section(bench_analysis, _analysis_line, _analysis_gates,
+                        optional=True),
+    "serve": Section(bench_serve, _serve_line, _serve_gates,
+                     optional=True),
+    "checkpoint": Section(bench_checkpoint, _checkpoint_line,
+                          _checkpoint_gates, optional=True),
+}
+
+#: the sections every ``repro bench`` run measures
+CORE = tuple(name for name, section in SECTIONS.items()
+             if not section.optional)
+
+
+def snapshot(repeats: int = 3, sections: Sequence[str] = CORE) -> dict:
+    """The ``repro bench`` measurement of ``sections`` (pure data,
+    JSON-ready)."""
     snap = {
         "schema": SCHEMA,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "vm": bench_vm(repeats),
-        "stream": stream,
-        "flatness": bench_flatness(repeats),
     }
-    if farm:
-        snap["farm"] = bench_farm()
-    if analysis:
-        snap["analysis"] = bench_analysis(repeats)
-    if serve:
-        snap["serve"] = bench_serve(repeats=repeats)
-    if checkpoint:
-        snap["checkpoint"] = bench_checkpoint(repeats=repeats)
+    for name in sections:
+        snap[name] = SECTIONS[name].run(repeats)
     return snap
 
 
-def stamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+def _write_json(path: Path, data: dict) -> Path:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def write_snapshot(snap: dict, out_dir: Path) -> Path:
-    out = Path(out_dir) / f"BENCH_{stamp()}.json"
-    out.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-    return out
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+    return _write_json(Path(out_dir) / f"BENCH_{stamp}.json", snap)
 
 
 def check_regression(snap: dict, baseline: dict,
                      tolerance: float = 0.5) -> list[str]:
-    """Compare a snapshot against the committed baseline.
-
-    Returns a list of human-readable violations (empty = gate passes):
-
-    * every deterministic counter must match the baseline exactly — the
-      same workload must do the same work, on any machine;
-    * each instrumentation-overhead ratio must stay within
-      ``tolerance`` (relative) of the baseline ratio, and the detached
-      ratio additionally below an absolute cap — a detached bus must
-      stay indistinguishable from one that never had subscribers;
-    * each bookkeeping-flatness ratio must reach :data:`FLAT_FLOOR`
-      (absolute, like the serving budget: no baseline needed).
-    """
+    """Run the gates of every section in ``snap`` against ``baseline``
+    (see each section's gates in the module docstring); returns the
+    human-readable violations, empty when the gate passes.  The core
+    sections are gated even when missing from ``snap``, so a snapshot
+    without ``vm`` fails its counters instead of passing vacuously."""
     problems: list[str] = []
-    base_counters = baseline.get("vm", {}).get("counters", {})
-    counters = snap.get("vm", {}).get("counters", {})
-    for key, expect in sorted(base_counters.items()):
-        got = counters.get(key)
-        if got != expect:
-            problems.append(f"counter {key}: expected {expect}, got {got}")
-    base_ratios = baseline.get("vm", {}).get("ratios", {})
-    ratios = snap.get("vm", {}).get("ratios", {})
-    for key in RATIO_KEYS:
-        expect = base_ratios.get(key)
-        got = ratios.get(key)
-        if expect is None or got is None:
-            problems.append(f"ratio {key}: missing "
-                            f"(baseline={expect}, snapshot={got})")
-            continue
-        if got > expect * (1.0 + tolerance):
-            problems.append(f"ratio {key}: {got:.2f} exceeds baseline "
-                            f"{expect:.2f} by more than {tolerance:.0%}")
-    got = ratios.get("detached_vs_off")
-    if got is not None and got > 1.5:
-        problems.append(f"ratio detached_vs_off: {got:.2f} > 1.5 — the "
-                        f"unsubscribed bus is no longer a no-op")
-    base_resident = baseline.get("stream", {}).get("resident_high")
-    resident = snap.get("stream", {}).get("resident_high")
-    flush = snap.get("stream", {}).get("flush_every")
-    if (base_resident is not None and resident is not None
-            and flush and resident > flush):
-        problems.append(f"stream resident_high {resident} exceeds "
-                        f"flush_every {flush}: streaming is buffering")
-    for key, got in snap.get("flatness", {}).get("ratios", {}).items():
-        if got < FLAT_FLOOR:
-            problems.append(f"flatness {key}: {got:.2f} below the "
-                            f"{FLAT_FLOOR:.2f} floor — bookkeeping grows "
-                            f"with idle trails or program age")
+    for name, section in SECTIONS.items():
+        if name in snap or not section.optional:
+            problems += section.gates(snap.get(name, {}),
+                                      baseline.get(name, {}), tolerance)
     return problems
 
 
 def main(args) -> int:
-    """``repro bench`` entry point (wired up in :mod:`repro.cli`)."""
-    import sys
-
-    with_farm = getattr(args, "farm", False)
-    with_analysis = getattr(args, "analysis", False)
-    with_serve = getattr(args, "serve", False)
-    with_checkpoint = getattr(args, "checkpoint", False)
-    snap = snapshot(repeats=args.repeats, farm=with_farm,
-                    analysis=with_analysis, serve=with_serve,
-                    checkpoint=with_checkpoint)
+    """``repro bench`` entry point (wired up in :mod:`repro.cli`): run
+    the requested sections, write the snapshot and every optional
+    section's artifact, then gate under ``--check``."""
+    names = [name for name, section in SECTIONS.items()
+             if not section.optional or getattr(args, name, False)]
+    snap = snapshot(args.repeats, names)
     out_dir = Path(args.out) if args.out else BENCH_DIR
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = write_snapshot(snap, out_dir)
-    vm = snap["vm"]
-    print(f"wrote {out}")
-    print(f"vm: {vm['reactions_per_s']:.0f} reactions/s off; ratios "
-          + ", ".join(f"{k}={vm['ratios'][k]:.2f}" for k in RATIO_KEYS))
-    print(f"stream: {snap['stream']['records_per_s']:.0f} records/s, "
-          f"resident high {snap['stream']['resident_high']}")
-    flat = snap["flatness"]
-    print("flatness: " + ", ".join(f"{k}={v:.2f}"
-                                   for k, v in flat["ratios"].items())
-          + f" (floor {flat['floor']:.2f})")
-    if with_farm:
-        farm = snap["farm"]
-        farm_path = out_dir / FARM_PATH.name if args.out else FARM_PATH
-        farm_path.write_text(
-            json.dumps(farm, indent=2, sort_keys=True) + "\n")
-        att = farm["attached"]
-        print(f"wrote {farm_path}")
-        print(f"farm: {farm['workload']['instances']} instances, "
-              f"{att['instances_per_s']:.0f} spawns/s, "
-              f"{att['events_per_s']:.0f} reactions/s attached, "
-              f"p99 {farm['latency_us']['p99']} us, "
-              f"{farm['resident_bytes_per_instance']['attached_bytes']:.0f}"
-              f" B/instance "
-              f"(drive overhead "
-              f"{farm['overhead']['attached_vs_detached_drive']:.2f}x)")
-    if with_analysis:
-        analysis = snap["analysis"]
-        analysis_path = out_dir / ANALYSIS_PATH.name if args.out \
-            else ANALYSIS_PATH
-        analysis_path.write_text(
-            json.dumps(analysis, indent=2, sort_keys=True) + "\n")
-        summary = analysis["summary"]
-        print(f"wrote {analysis_path}")
-        print(f"analysis: {analysis['workload']['files']} files, "
-              f"comment-edit speedup geomean "
-              f"{summary['comment_speedup_geomean']:.1f}x "
-              f"(min {summary['comment_speedup_min']:.1f}x), "
-              f"literal-edit geomean "
-              f"{summary['literal_speedup_geomean']:.1f}x, "
-              f"identical={summary['all_identical']}")
-    if with_serve:
-        serve = snap["serve"]
-        serve_path = out_dir / SERVE_PATH.name if args.out else SERVE_PATH
-        serve_path.write_text(
-            json.dumps(serve, indent=2, sort_keys=True) + "\n")
-        over = serve["overhead"]
-        print(f"wrote {serve_path}")
-        print(f"serve: {serve['workload']['instances']} instances, "
-              f"{serve['events_per_s']['noserver']:.0f} "
-              f"reactions/s detached; overhead idle "
-              f"{over['idle_vs_noserver']:.3f}x, scraped "
-              f"{over['scraped_vs_noserver']:.3f}x "
-              f"(budget {serve['budget']['idle_vs_noserver_max']:.2f}x)")
-        if not serve["budget"]["within_budget"]:
-            print(f"REGRESSION serve: idle overhead "
-                  f"{over['idle_vs_noserver']:.3f}x exceeds "
-                  f"{serve['budget']['idle_vs_noserver_max']:.2f}x budget",
-                  file=sys.stderr)
-            return 1
-    if with_checkpoint:
-        ckpt = snap["checkpoint"]
-        ckpt_path = out_dir / CHECKPOINT_PATH.name if args.out \
-            else CHECKPOINT_PATH
-        ckpt_path.write_text(
-            json.dumps(ckpt, indent=2, sort_keys=True) + "\n")
-        cap = ckpt["capture"]
-        warm = ckpt["warm_start"]
-        ratio = ckpt["overhead"]["record_vs_norecord"]
-        print(f"wrote {ckpt_path}")
-        print(f"checkpoint: {ckpt['workload']['instances']} instances; "
-              f"recording overhead {ratio:.3f}x "
-              f"(budget {ckpt['budget']['record_vs_norecord_max']:.2f}x); "
-              f"snapshot {cap['snapshot_s'] * 1e3:.2f}ms / "
-              f"restore {cap['restore_s'] * 1e3:.2f}ms / "
-              f"{cap['bytes']} B; warm start "
-              f"{warm['warm_per_instance_ms']:.3f}ms/inst vs cold "
-              f"{warm['cold_per_instance_ms']:.3f}ms/inst "
-              f"= {warm['speedup']:.1f}x "
-              f"(floor {ckpt['budget']['warm_speedup_min']:.0f}x)")
-        if ratio > ckpt["budget"]["record_vs_norecord_max"]:
-            print(f"REGRESSION checkpoint: recording overhead "
-                  f"{ratio:.3f}x exceeds "
-                  f"{ckpt['budget']['record_vs_norecord_max']:.2f}x "
-                  f"budget", file=sys.stderr)
-            return 1
-        if warm["speedup"] < ckpt["budget"]["warm_speedup_min"]:
-            print(f"REGRESSION checkpoint: warm-start speedup "
-                  f"{warm['speedup']:.1f}x below "
-                  f"{ckpt['budget']['warm_speedup_min']:.0f}x floor",
-                  file=sys.stderr)
-            return 1
+    print(f"wrote {write_snapshot(snap, out_dir)}")
+    for name in names:
+        section = SECTIONS[name]
+        if section.optional:
+            path = _write_json(out_dir / f"BENCH_{name}.json", snap[name])
+            print(f"wrote {path}")
+        print(f"{name}: {section.summary(snap[name])}")
     baseline_path = Path(args.baseline) if args.baseline \
         else BASELINE_PATH
     if args.update_baseline:
-        baseline_path.write_text(
-            json.dumps(snap, indent=2, sort_keys=True) + "\n")
+        _write_json(baseline_path, snap)
         print(f"updated baseline {baseline_path}")
         return 0
-    if args.check:
-        if not baseline_path.exists():
-            print(f"no baseline at {baseline_path} — run with "
-                  f"--update-baseline first", file=sys.stderr)
-            return 1
-        baseline = json.loads(baseline_path.read_text())
-        problems = check_regression(snap, baseline,
-                                    tolerance=args.tolerance)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION {problem}", file=sys.stderr)
-            return 1
-        print(f"regression gate passed (baseline {baseline_path.name}, "
-              f"tolerance {args.tolerance:.0%})")
+    if not args.check:
+        return 0
+    if not baseline_path.exists():
+        print(f"no baseline at {baseline_path} — run with "
+              f"--update-baseline first", file=sys.stderr)
+        return 1
+    problems = check_regression(snap, json.loads(baseline_path.read_text()),
+                                tolerance=args.tolerance)
+    for problem in problems:
+        print(f"REGRESSION {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"regression gate passed (baseline {baseline_path.name}, "
+          f"tolerance {args.tolerance:.0%})")
     return 0
 
 
-__all__ = ["SCHEMA", "bench_vm", "bench_stream", "bench_flatness",
-           "bench_farm",
+__all__ = ["SCHEMA", "SECTIONS", "CORE", "Section", "bench_vm",
+           "bench_stream", "bench_flatness", "bench_farm",
            "bench_analysis", "bench_serve", "bench_checkpoint",
            "snapshot", "write_snapshot", "check_regression",
-           "make_fanout"]
+           "make_fanout", "time_mode"]

@@ -52,9 +52,10 @@ reproduction's analysis artifacts:
             ``--oracle semantics`` adds the executable reference
             semantics as a third backend (three-way VM↔C↔spec diff)
 ``bench``   benchmark snapshot (throughput, overhead ratios, latency
-            percentiles) as ``benchmarks/BENCH_<stamp>.json``; ``--check``
-            gates against the committed baseline; ``--farm`` also measures
-            the reactor farm and records ``benchmarks/BENCH_farm.json``
+            percentiles) as ``benchmarks/BENCH_<stamp>.json``;
+            ``--farm``/``--analysis``/``--serve``/``--checkpoint`` add a
+            section, each also recorded as ``benchmarks/BENCH_<section>.json``;
+            ``--check`` runs every measured section's gates
 ``farm``    run N instances of one program over the DES kernel with fleet
             telemetry: per-instance metrics rolled up cross-instance
             (``--stats``), Prometheus text exposition (``--prom``),
@@ -227,17 +228,6 @@ def _load_script(path: str) -> list:
         raise CeuError(f"{path}: {err}") from None
 
 
-def _feed_script(program: Program, script) -> None:
-    """Drive a booted program from fuzz-format script items."""
-    for item in script:
-        if program.done or program.sched.paused():
-            break
-        if item[0] == "E":
-            program.send(item[1], item[2])
-        else:
-            program.at(item[1])
-
-
 def _crash_bundle(program: Program, source: str, args, recorder,
                   err: BaseException) -> Path:
     """Write the black-box bundle for a crashed ``repro run``: a crash
@@ -286,7 +276,7 @@ def cmd_run(args) -> int:
     try:
         with guard:
             program.start()
-            _feed_script(program, script)
+            program.run_script(script)
             _feed_inputs(program, args.inputs)
     except BaseException as err:
         if args.postmortem:
@@ -372,7 +362,7 @@ def _causal_replay(path: str, inputs_file, inputs,
                       reverse_seeds=reverse_seeds)
     graph = program.observe(CausalGraph(program.hooks))
     program.start()
-    _feed_script(program, script)
+    program.run_script(script)
     _feed_inputs(program, inputs)
     return program, graph
 
@@ -1243,8 +1233,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3,
                    help="best-of-N timing repeats (default 3)")
     p.add_argument("--check", action="store_true",
-                   help="gate against the committed baseline: exact "
-                        "counters, toleranced overhead ratios")
+                   help="after writing every artifact, run the gates of "
+                        "every measured section: exact counters and "
+                        "toleranced overhead ratios against the baseline, "
+                        "detached cap, stream buffering, flatness floors, "
+                        "and the analysis, serve and checkpoint gates")
     p.add_argument("--baseline", metavar="FILE", default=None,
                    help="baseline snapshot (default: "
                         "benchmarks/BENCH_baseline.json)")
@@ -1258,19 +1251,20 @@ def build_parser() -> argparse.ArgumentParser:
                         ", never gated)")
     p.add_argument("--analysis", action="store_true",
                    help="also measure incremental-vs-cold lint latency "
-                        "(recorded as benchmarks/BENCH_analysis.json, "
-                        "never gated)")
+                        "(recorded as benchmarks/BENCH_analysis.json; "
+                        "--check gates that every incremental report "
+                        "equals the cold one)")
     p.add_argument("--serve", action="store_true",
                    help="also measure the telemetry-plane serving-path "
                         "overhead on a detached farm (recorded as "
-                        "benchmarks/BENCH_serve.json; the idle-server "
-                        "drive ratio is gated at <= 5%%)")
+                        "benchmarks/BENCH_serve.json; --check gates the "
+                        "idle-server drive ratio at <= 5%%)")
     p.add_argument("--checkpoint", action="store_true",
                    help="also measure the checkpoint plane: journal-"
                         "recording overhead on the farm drive loop "
-                        "(gated <= 5%%) and warm-start speedup vs a "
-                        "cold instrumented boot (gated >= 5x); recorded "
-                        "as benchmarks/BENCH_checkpoint.json")
+                        "and warm-start speedup vs a cold instrumented "
+                        "boot (recorded as benchmarks/BENCH_checkpoint"
+                        ".json; --check gates them at <= 5%% and >= 5x)")
     p.set_defaults(fn=cmd_bench)
     return parser
 

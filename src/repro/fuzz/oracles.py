@@ -84,13 +84,7 @@ class RunResult:
 
 def drive_vm(program: Program, script: Script) -> None:
     program.start()
-    for item in script:
-        if program.done:
-            break
-        if item[0] == "E":
-            program.send(item[1], item[2])
-        else:
-            program.at(item[1])
+    program.run_script(script)
 
 
 def bookkeeping_violations(sched, bounds) -> dict:

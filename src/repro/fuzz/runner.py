@@ -353,13 +353,7 @@ class FuzzRunner:
                 ChromeTraceExporter(flows_from=program.hooks))
             try:
                 program.start()
-                for item in script:
-                    if program.done:
-                        break
-                    if item[0] == "E":
-                        program.send(item[1], item[2])
-                    else:
-                        program.at(item[1])
+                program.run_script(script)
             except Exception:
                 pass  # a crashing replay still yields a useful trace
             chrome.write(stem + ".trace.json")

@@ -169,13 +169,7 @@ def collect_coverage(program_cls, src: str, script,
         if dfa_cov is not None:
             program.observe(dfa_cov)
         program.start()
-        for item in script:
-            if program.done:
-                break
-            if item[0] == "E":
-                program.send(item[1], item[2])
-            else:
-                program.at(item[1])
+        program.run_script(script)
     except Exception:
         return None
     ids = cov.ids()

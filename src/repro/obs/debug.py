@@ -74,13 +74,7 @@ class TimeTravelDebugger:
         # pass 1: the one instrumented run
         program, self.graph = self._instrumented_boot()
         program.start()
-        for item in self.script:
-            if program.done or program.sched.paused():
-                break
-            if item[0] == "E":
-                program.send(item[1], item[2])
-            else:
-                program.at(item[1])
+        program.run_script(self.script)
         self._finish_init(program, checkpoint_interval, checkpoint_ring)
 
     @classmethod

@@ -35,7 +35,6 @@ kernel (:class:`~repro.sim.des.Simulator`):
 Undefined C symbols (``_Leds_led0Toggle`` and friends) resolve to
 counting no-op stubs by default — any platform-flavoured program runs
 unmodified, and the calls surface as ``farm_c_calls_total{symbol=…}``.
-Pass ``cenv_factory`` to bind real services instead.
 """
 
 from __future__ import annotations
@@ -144,14 +143,12 @@ class Farm:
                  sim: Optional[Simulator] = None, observe: bool = True,
                  stream: Optional[StreamingJsonlExporter] = None,
                  recorder: Optional[FlightRecorder] = None,
-                 cenv_factory: Optional[Callable[[], CEnv]] = None,
                  check: bool = True, sinks: Sequence = (),
                  subscribers: Sequence = (), record: bool = False,
                  postmortem_dir=None):
         self.sim = sim if sim is not None else Simulator()
         self.observe = observe
         self.check = check
-        self.cenv_factory = cenv_factory
         self.stream = stream
         self.recorder = recorder
         #: journal recording per instance — the prerequisite for
@@ -248,8 +245,7 @@ class Farm:
         born = []
         for _ in range(n):
             index = len(self.instances)
-            cenv = (self.cenv_factory() if self.cenv_factory is not None
-                    else _StubCEnv(self.fleet, self._c_calls))
+            cenv = _StubCEnv(self.fleet, self._c_calls)
             prog = Program(bound, cenv=cenv, observe=self.observe,
                            check=False, record=self.record)
             prog.sched.output_handler = self._output_handler(program)
@@ -281,23 +277,19 @@ class Farm:
         born = []
         for _ in range(n):
             index = len(self.instances)
-            cenv = (self.cenv_factory() if self.cenv_factory is not None
-                    else _StubCEnv(self.fleet, self._c_calls))
+            cenv = _StubCEnv(self.fleet, self._c_calls)
             prog = Program(bound, cenv=cenv, observe=False, check=False,
                            record=self.record)
             prog.source = ckpt.source
             sched = prog.sched
             apply_options(sched, ckpt)
             # detached replay to the boundary (telemetry off, stubs muted)
-            muted = isinstance(cenv, _StubCEnv)
-            if muted:
-                cenv.muted = True
+            cenv.muted = True
             sched.pause_at = boundary
             sched.go_init()
             replay_journal(sched, ckpt.journal, pause_at=boundary)
             sched.pause_at = None
-            if muted:
-                cenv.muted = False
+            cenv.muted = False
             if ckpt.fingerprint is not None:
                 got = state_fingerprint(sched)
                 if got != ckpt.fingerprint:

@@ -143,6 +143,20 @@ class Program:
             status = self.run()
         return status
 
+    def run_script(self, script) -> None:
+        """Apply a fuzz/witness-format stimulus script to a started
+        program: ``("E", name, value)`` sends an input event, ``("T",
+        us)`` advances the clock to an absolute instant.  Stops once the
+        program is done or paused (the per-program twin of
+        :meth:`~repro.runtime.farm.Farm.run_script`)."""
+        for item in script:
+            if self.done or self.sched.paused():
+                break
+            if item[0] == "E":
+                self.send(item[1], item[2])
+            else:
+                self.at(item[1])
+
     def run(self, max_async_steps: int = 10_000_000) -> str:
         """Drive the program until it needs external input: flush queued
         inputs, then step asyncs (whose emits feed reactions) until no

@@ -399,7 +399,10 @@ class Scheduler:
                 if hooked:
                     self.hooks.cause = 0
                 return RUNNING
-            self.go_event(sym.name, value)
+            if sym.kind == "output":
+                self.emit_output(sym, value)
+            else:
+                self.go_event(sym.name, value)
         elif kind == "emit_time":
             if not job.aborted:
                 self.go_time(self.clock + req[1])

@@ -14,8 +14,9 @@ layout, code generation and the reference VM).  It resolves:
 and enforces the contextual rules of the paper:
 
 * ``emit`` of input events and of time only inside ``async`` (§2.8);
-* ``async`` bodies contain no parallel blocks, no awaits, no internal
-  events, and no assignments to variables of outer blocks (§2.7);
+* ``async`` bodies contain no parallel blocks, no awaits (not even
+  ``await forever``), no internal events, no ``do ... end`` value
+  blocks, and no assignments to variables of outer blocks (§2.7);
 * events and variables are declared before use; inputs are uppercase,
   internals lowercase (§2).
 """
@@ -236,7 +237,7 @@ class _Binder:
             self._boundaries.pop()
 
     def _bind_await(self, s: ast.Stmt) -> None:
-        if self._async_depth and not isinstance(s, ast.AwaitForever):
+        if self._async_depth:
             raise AsyncError("`await` is not allowed inside `async`", s.span)
         if isinstance(s, ast.AwaitExt):
             self._resolve_event(s.event, ("input",), s)
@@ -284,6 +285,10 @@ class _Binder:
                               ast.AwaitExp)):
             self._bind_await(value)
             return
+        if self._async_depth and isinstance(value, ast.DoBlock):
+            raise AsyncError("`async` declarations and assignments take "
+                             "plain expressions, not `do ... end`",
+                             value.span)
         if isinstance(value, (ast.DoBlock, ast.ParStmt, ast.AsyncBlock)):
             self.out.value_boundaries.add(value.nid)
             self._boundaries.append(value)

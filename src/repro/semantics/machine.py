@@ -486,13 +486,14 @@ class Machine(StatementRules):
             self._complete_async(job, req[1])
             return
         self._note(f"[async-step] job={job.seq} {kind}")
-        if kind == "emit_ext":
+        if kind == "emit_ext" and not job.aborted:
             _, sym, value = req
-            if not job.aborted:
+            if sym.kind == "output":                    # [emit-out]
+                self.outputs.append((sym.name, value))
+            else:
                 self.go_event(sym.name, value)
-        elif kind == "emit_time":
-            if not job.aborted:
-                self.go_time(self.clock + req[1])
+        elif kind == "emit_time" and not job.aborted:
+            self.go_time(self.clock + req[1])
         # "tick": nothing — one loop iteration consumed
         if not job.aborted and not job.done:
             self._rotate_job(job)

@@ -5,8 +5,23 @@ import copy
 import json
 import re
 
+import pytest
+
 from repro import bench
 from repro.cli import build_parser, main
+
+#: every size constant shrunk so a section runs in well under a second
+SHRUNK = {"TRAILS": 4, "EVENTS": 40, "DES_EVENTS": 500,
+          "FLAT_TRAILS": (4, 32), "FLAT_WAKES": 50, "LEAK_EARLY": 20,
+          "LEAK_LATE": 100, "LEAK_WINDOW": 20, "FARM_INSTANCES": 6,
+          "FARM_MEM_SAMPLE": 3, "SERVE_INSTANCES": 6, "CKPT_INSTANCES": 6,
+          "CKPT_SIM_US": 1_000_000}
+
+
+@pytest.fixture
+def shrunk(monkeypatch):
+    for name, value in SHRUNK.items():
+        monkeypatch.setattr(bench, name, value)
 
 
 def tiny_snapshot():
@@ -120,6 +135,38 @@ class TestRegressionGate:
         problems = bench.check_regression(snap, self.base())
         assert any("resident_high" in p for p in problems)
 
+    @pytest.mark.parametrize("name, breach, message", [
+        ("serve", {("overhead", "idle_vs_noserver"): 1.2,
+                   ("budget", "within_budget"): False},
+         "serve: idle overhead 1.200x exceeds 1.05x budget"),
+        ("checkpoint", {("overhead", "record_vs_norecord"): 1.2},
+         "checkpoint: recording overhead 1.200x exceeds 1.05x budget"),
+        ("checkpoint", {("warm_start", "speedup"): 4.0},
+         "checkpoint: warm-start speedup 4.0x below 5x floor"),
+        ("analysis", {("summary", "all_identical"): False},
+         "analysis: an incremental report differs from the cold run of "
+         "the same text"),
+    ], ids=["serve", "checkpoint-record", "checkpoint-warm", "analysis"])
+    def test_optional_section_breach(self, name, breach, message):
+        """The optional sections' gates run in ``check_regression`` too,
+        each with the message ``repro bench`` printed before."""
+        sections = {
+            "serve": {"overhead": {"idle_vs_noserver": 1.02},
+                      "budget": {"idle_vs_noserver_max": 1.05,
+                                 "within_budget": True}},
+            "checkpoint": {"overhead": {"record_vs_norecord": 1.01},
+                           "warm_start": {"speedup": 6.0},
+                           "budget": {"record_vs_norecord_max": 1.05,
+                                      "warm_speedup_min": 5.0}},
+            "analysis": {"summary": {"all_identical": True}},
+        }
+        snap = self.base()
+        snap[name] = sections[name]
+        assert bench.check_regression(snap, self.base()) == []
+        for (group, field), value in breach.items():
+            snap[name][group][field] = value
+        assert bench.check_regression(snap, self.base()) == [message]
+
     def test_faithful_to_real_snapshot_schema(self):
         """The gate reads the same keys a real snapshot writes."""
         saved = (bench.TRAILS, bench.EVENTS, bench.DES_EVENTS)
@@ -190,13 +237,14 @@ class TestFlatnessSection:
 
 
 class TestCheckpointSection:
-    def test_checkpoint_section_shape(self):
+    def test_checkpoint_section_shape(self, monkeypatch):
         """A shrunk ``bench --checkpoint`` measurement has every gated
         field; the *real* gates run on CI-scale workloads, so only the
         recording-overhead one (machine-independent at any scale) is
         asserted here."""
-        section = bench.bench_checkpoint(n_instances=6,
-                                         sim_us=1_000_000, repeats=1)
+        monkeypatch.setattr(bench, "CKPT_INSTANCES", 6)
+        monkeypatch.setattr(bench, "CKPT_SIM_US", 1_000_000)
+        section = bench.bench_checkpoint(repeats=1)
         assert section["workload"]["instances"] == 6
         assert set(section["drive_s"]) == {"norecord", "record"}
         cap = section["capture"]
@@ -214,3 +262,54 @@ class TestCheckpointSection:
     def test_checkpoint_flag_parses(self):
         args = build_parser().parse_args(["bench", "--checkpoint"])
         assert args.checkpoint
+
+
+class TestSectionProtocol:
+    @pytest.mark.parametrize("name", list(bench.SECTIONS))
+    def test_section_runs_through_repro_bench(self, name, shrunk,
+                                              tmp_path, capsys):
+        """Each declared section runs at shrunk size under ``repro
+        bench``, prints its one summary line, writes its artifact under
+        ``--out`` when it is optional, and its gates read the keys it
+        writes."""
+        section = bench.SECTIONS[name]
+        flags = [f"--{name}"] if section.optional else []
+        rc = main(["bench", "--out", str(tmp_path), "--repeats", "1",
+                   *flags])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        (snap_path,) = tmp_path.glob("BENCH_2*.json")
+        snap = json.loads(snap_path.read_text())
+        assert set(snap) == {"schema", "python", "machine", *bench.CORE,
+                             name}
+        assert len([line for line in out
+                    if line.startswith(f"{name}: ")]) == 1
+        artifact = tmp_path / f"BENCH_{name}.json"
+        assert artifact.exists() == section.optional
+        if section.optional:
+            assert f"wrote {artifact}" in out
+            assert json.loads(artifact.read_text()) == snap[name]
+        assert isinstance(section.gates(snap[name], snap[name], 1e9), list)
+
+    def test_failing_check_writes_every_artifact(self, shrunk, monkeypatch,
+                                                 tmp_path, capsys):
+        """A serve breach no longer cuts the run short: the checkpoint
+        artifact is written too, and the gate still exits 1."""
+        monkeypatch.setattr(bench, "SERVE_BUDGET", 0.0)
+        baseline = tmp_path / "baseline.json"
+        common = ["bench", "--out", str(tmp_path), "--repeats", "1",
+                  "--baseline", str(baseline)]
+        assert main([*common, "--update-baseline"]) == 0
+        rc = main([*common, "--check", "--tolerance", "100", "--serve",
+                   "--checkpoint"])
+        assert rc == 1
+        assert (tmp_path / "BENCH_serve.json").exists()
+        assert (tmp_path / "BENCH_checkpoint.json").exists()
+        assert "REGRESSION serve: idle overhead" in capsys.readouterr().err
+
+    def test_serve_without_check_only_records(self, shrunk, monkeypatch,
+                                              tmp_path):
+        monkeypatch.setattr(bench, "SERVE_BUDGET", 0.0)
+        assert main(["bench", "--out", str(tmp_path), "--repeats", "1",
+                     "--serve"]) == 0
+        assert (tmp_path / "BENCH_serve.json").exists()

@@ -159,6 +159,18 @@ class TestAsyncRestrictions:
         with pytest.raises(AsyncError):
             bind(parse("input void A;\nasync do\nawait A;\nend"))
 
+    def test_no_await_forever_inside_async(self):
+        with pytest.raises(AsyncError, match="`await` is not allowed"):
+            bind(parse("async do\nawait forever;\nend"))
+
+    @pytest.mark.parametrize("body", [
+        "int x = do\nreturn 5;\nend;",
+        "int x;\nx = do\nreturn 5;\nend;",
+    ], ids=["declaration", "assignment"])
+    def test_no_value_block_inside_async(self, body):
+        with pytest.raises(AsyncError, match="plain expressions"):
+            bind(parse(f"int r = async do\n{body}\nreturn x;\nend;"))
+
     def test_no_par_inside_async(self):
         with pytest.raises(AsyncError):
             bind(parse("async do\npar do\nnothing;\nwith\nnothing;"

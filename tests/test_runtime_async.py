@@ -109,6 +109,37 @@ class TestAsyncBasics:
         """)
         assert p.result is None
 
+    def test_output_emit_inside_async_reaches_the_output_path(self):
+        """An async's output emit is delivered as an output, not stepped
+        as an input, identically on the VM and the spec machine."""
+        from repro.semantics.machine import run_script
+
+        src = """
+        output int O;
+        int r = async do
+           int i = 0;
+           loop do
+              i = i + 1;
+              emit O = i;
+              if i == 3 then
+                 break;
+              end
+           end
+           return i;
+        end;
+        emit O = r * 10;
+        return r;
+        """
+        p = Program(src)
+        outputs = []
+        p.sched.output_handler = lambda name, value: \
+            outputs.append((name, value))
+        p.start()
+        spec = run_script(src, [])
+        assert (p.done, p.result) == (spec.done, spec.result) == (True, 3)
+        assert outputs == spec.outputs == [("O", 1), ("O", 2), ("O", 3),
+                                           ("O", 30)]
+
 
 class TestSimulation:
     def test_paper_simulation_template(self):
