@@ -398,7 +398,9 @@ class ServerApp(NescApp):
             self.kernel.post(self.uart_task)
 
     def pool_reclaim_task(self) -> None:
-        # BaseStation-style message-pool management: bound both queues
+        # BaseStation-style message-pool management: bound both queues.
+        # Nothing posts it here, but it is part of the modelled app:
+        # handlers() counts it in the ROM model and eval.loc its lines
         while len(self.ack_queue) > 8:
             self.ack_queue.pop(0)
         while len(self.uart_queue) > 8:

@@ -85,7 +85,11 @@ class CEmitter:
         self.gates: GateTable = build_gates(bound)
         self.body: list[str] = []      # lines inside the switch
         self._label = 1                # 1 = boot
-        self._max_depth = self._measure_depth(bound.program.body, 0)
+        #: one past the deepest par/loop/do (§4.1 join depth, binder data)
+        self._max_depth = 1 + max(bound.join_depth.values(), default=-1)
+        #: construct nid → its ordinal in the binder's walk, which names
+        #: its scratch slots, so the C text depends on the program alone
+        self._ordinal = {nid: i for i, nid in enumerate(bound.join_depth)}
         self._scratch: list[str] = []  # extra C globals (counters, values)
         self._cont_label: dict[int, int] = {}   # boundary nid → label
         self._loop_exit: dict[int, int] = {}    # loop nid → label
@@ -94,25 +98,9 @@ class CEmitter:
             sym.name: i for i, sym in enumerate(bound.events.values())}
 
     # ------------------------------------------------------------- helpers
-    def _measure_depth(self, node: ast.Node, d: int) -> int:
-        best = d
-        nested = d + 1 if isinstance(node, (ast.ParStmt, ast.Loop)) else d
-        for child in node.children():
-            best = max(best, self._measure_depth(child, nested))
-        return best
-
-    def _depth_of(self, node: ast.Node) -> int:
-        depth = 0
-        cur = self.bound.parent.get(node.nid)
-        while cur is not None:
-            if isinstance(cur, (ast.ParStmt, ast.Loop)):
-                depth += 1
-            cur = self.bound.parent.get(cur.nid)
-        return depth
-
     def _join_prio(self, node: ast.Node) -> int:
         # queue pops the smallest; normal tracks are 0; inner joins first
-        return 1 + (self._max_depth - self._depth_of(node))
+        return 1 + (self._max_depth - self.bound.join_depth[node.nid])
 
     def new_label(self) -> int:
         self._label += 1
@@ -312,14 +300,14 @@ class CEmitter:
 
     # ----------------------------------------------------------------- par
     def _value_slot(self, nid: int) -> str:
-        name = f"PARVAL_{nid}"
+        name = f"PARVAL_{self._ordinal[nid]}"
         decl = f"static intptr_t {name};"
         if decl not in self._scratch:
             self._scratch.append(decl)
         return name
 
     def _counter_slot(self, nid: int) -> str:
-        name = f"CNT_{nid}"
+        name = f"CNT_{self._ordinal[nid]}"
         decl = f"static int {name};"
         if decl not in self._scratch:
             self._scratch.append(decl)

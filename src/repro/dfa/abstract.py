@@ -125,21 +125,6 @@ class AbstractMachine:
         self.bound = bound
         self.midstate_budget = midstate_budget
         self._epoch_seq = itertools.count(1)
-        self._depth = self._compute_depths()
-
-    # ------------------------------------------------------------- prepass
-    def _compute_depths(self) -> dict[int, int]:
-        depth: dict[int, int] = {}
-
-        def walk(node: ast.Node, d: int) -> None:
-            depth[node.nid] = d
-            nested = d + 1 if isinstance(node,
-                                         (ast.ParStmt, ast.Loop)) else d
-            for child in node.children():
-                walk(child, nested)
-
-        walk(self.bound.program, 0)
-        return depth
 
     def fresh_epoch(self) -> int:
         return next(self._epoch_seq)
@@ -450,7 +435,7 @@ class AbstractMachine:
                 return None
         if any(j.kind == "join" and j.path == par_path for j in ms.joinq):
             return None  # already scheduled this reaction
-        prio = (1, -self._depth[par.nid])
+        prio = (1, -self.bound.join_depth[par.nid])
         ms.joinq.append(JoinItem(prio, ms.seq(), "join", par_path,
                                  (par.nid,), cause=chain))
         return None
@@ -458,7 +443,7 @@ class AbstractMachine:
     def _enqueue_escape(self, ms: MidState, path: Path, k: int,
                         target: ast.Node, chain: int) -> None:
         ms.tree[path] = ("done",)
-        prio = (1, -self._depth.get(target.nid, 0))
+        prio = (1, -self.bound.join_depth[target.nid])
         ms.joinq.append(JoinItem(prio, ms.seq(), "escape", path,
                                  (k, target), cause=chain))
 

@@ -6,9 +6,12 @@ reporting* (the paper's fig. `nfa`); the temporal analysis itself
 cannot drift apart.
 
 Priorities: join nodes of parallel compositions and loop-termination nodes
-receive ``max_depth - depth + 1`` so that *outer* constructs get *lower*
-priority (larger number = runs later), exactly the scheme of the paper's
-figure where the outermost join carries the lowest priority.
+receive ``max_depth - depth + 1``, with ``depth`` the binder's join depth
+(:attr:`~repro.sema.binder.BoundProgram.join_depth`, the one the scheduler
+runs by) and ``max_depth`` one past the deepest construct, so that *outer*
+constructs get *lower* priority (larger number = runs later), exactly the
+scheme of the paper's figure where the outermost join carries the lowest
+priority.
 """
 
 from __future__ import annotations
@@ -35,38 +38,30 @@ class _Builder:
     def __init__(self, bound: BoundProgram):
         self.bound = bound
         self.graph = FlowGraph()
-        self._max_depth = self._measure_depth(bound.program.body, 0)
+        self._max_depth = 1 + max(bound.join_depth.values(), default=-1)
         #: open loop contexts: loop node → (head FlowNode, escape join)
         self._loops: dict[int, tuple[FlowNode, FlowNode]] = {}
 
-    def _measure_depth(self, node: ast.Node, d: int) -> int:
-        best = d
-        nested = d + 1 if isinstance(node, (ast.ParStmt, ast.Loop)) else d
-        for child in node.children():
-            best = max(best, self._measure_depth(child, nested))
-        return best
-
-    def _join_priority(self, depth: int) -> int:
+    def _join_priority(self, node: ast.Node) -> int:
         # outer (small depth) → lower priority (larger number)
-        return self._max_depth - depth + 1
+        return self._max_depth - self.bound.join_depth[node.nid] + 1
 
     # -------------------------------------------------------------- build
     def build(self) -> FlowGraph:
         entry = self.graph.add_node("boot", "stmt")
         self.graph.entry = entry.id
-        exits = self._block(self.bound.program.body, entry, depth=0)
+        exits = self._block(self.bound.program.body, entry)
         end = self.graph.add_node("end", "end")
         for node in exits:
             self.graph.add_edge(node, end)
         return self.graph
 
-    def _block(self, block: ast.Block, pred: FlowNode,
-               depth: int) -> list[FlowNode]:
+    def _block(self, block: ast.Block, pred: FlowNode) -> list[FlowNode]:
         """Wire a block after ``pred``; returns the nodes that fall out."""
         frontier = [pred]
         for stmt in block.stmts:
             next_frontier: list[FlowNode] = []
-            entries, exits = self._stmt(stmt, depth)
+            entries, exits = self._stmt(stmt)
             if entries:
                 for node in frontier:
                     for e in entries:
@@ -78,8 +73,7 @@ class _Builder:
                 break  # unreachable code after non-falling statement
         return frontier
 
-    def _stmt(self, s: ast.Stmt,
-              depth: int) -> tuple[list[FlowNode], list[FlowNode]]:
+    def _stmt(self, s: ast.Stmt) -> tuple[list[FlowNode], list[FlowNode]]:
         g = self.graph
         if isinstance(s, (ast.Nothing, ast.DeclEvent, ast.PureDecl,
                           ast.DeterministicDecl, ast.CBlockStmt)):
@@ -93,19 +87,19 @@ class _Builder:
         if isinstance(s, ast.If):
             cond = g.add_node(f"if {_stmt_label(s)[3:]}", "stmt",
                               ast_nid=s.nid)
-            then_exits = self._block(s.then, cond, depth)
+            then_exits = self._block(s.then, cond)
             if s.orelse is not None:
-                else_exits = self._block(s.orelse, cond, depth)
+                else_exits = self._block(s.orelse, cond)
             else:
                 else_exits = [cond]
             return [cond], then_exits + else_exits
         if isinstance(s, ast.Loop):
             head = g.add_node("loop", "stmt", ast_nid=s.nid)
             escape = g.add_node("loop-end", "join",
-                                priority=self._join_priority(depth),
+                                priority=self._join_priority(s),
                                 ast_nid=s.nid)
             self._loops[s.nid] = (head, escape)
-            body_exits = self._block(s.body, head, depth + 1)
+            body_exits = self._block(s.body, head)
             for node in body_exits:
                 g.add_edge(node, head, "iterate")
             del self._loops[s.nid]
@@ -125,10 +119,10 @@ class _Builder:
             if s.mode in ("or", "and") or s.nid in \
                     self.bound.value_boundaries:
                 join = g.add_node(f"{s.keyword}-join", "join",
-                                  priority=self._join_priority(depth),
+                                  priority=self._join_priority(s),
                                   ast_nid=s.nid)
             for block in s.blocks:
-                exits = self._block(block, fork, depth + 1)
+                exits = self._block(block, fork)
                 if join is not None:
                     for node in exits:
                         g.add_edge(node, join, "terminate")
@@ -137,14 +131,14 @@ class _Builder:
             node = g.add_node(_stmt_label(s), "stmt", ast_nid=s.nid)
             inner = _setexp_of(s)
             if inner is not None and not isinstance(inner, ast.Exp):
-                entries, exits = self._stmt(inner, depth)
+                entries, exits = self._stmt(inner)
                 for e in entries:
                     g.add_edge(node, e)
                 return [node], exits
             return [node], [node]
         if isinstance(s, ast.DoBlock):
             entry = g.add_node("do", "stmt", ast_nid=s.nid)
-            exits = self._block(s.body, entry, depth)
+            exits = self._block(s.body, entry)
             return [entry], exits
         if isinstance(s, ast.AsyncBlock):
             node = g.add_node("async", "await", ast_nid=s.nid)

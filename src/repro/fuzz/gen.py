@@ -86,9 +86,11 @@ CORPUS_PROFILES: dict[str, GenConfig] = {
         "await_ext": 0.5}),
 }
 
-#: the schedule-diversity profile: every program carries nested-rejoin
-#: gadgets whose emit ordering is observable in the portable signature,
-#: so a backend that runs §4.1 join continuations at flat priority
+#: the schedule-diversity profile: every program carries join-order
+#: gadgets (a nested rejoin, a ``break`` and a value-block ``return``
+#: through a ``par`` under ``do … end`` blocks) whose emit ordering is
+#: observable in the portable signature, so a backend that runs §4.1
+#: join continuations at flat priority, or by another nesting rule,
 #: diverges from the glitch-free VM (the blind spot the plain profiles
 #: left: their parallels rarely rejoin *and* observe the join order)
 PRIO = replace(DIFF, prio_gadgets=3, top_stmts=(2, 5))
@@ -474,17 +476,33 @@ class ProgramGen:
     def gen_prio_gadget(self, scope: _Scope, idx: int,
                         depth: int = 0) -> None:
         """A §4.1 join-order probe: two sibling trails wake on the same
-        external event; one finishes its ``par/or`` directly, the other
-        through a *nested* rejoin whose continuation emits.  Glitch-free
-        join priorities run the inner continuation (``g<idx>b``) before
-        the outer kill reaches it; a flat-priority backend may kill the
-        inner branch first and lose the emit and the ``vb`` update.  The
-        gadget events are dedicated, never-awaited internal voids, so
+        external event and race two continuations of one reaction.  The
+        shape is ``idx % 3``, so a program with three gadgets has each:
+
+        0. one trail finishes its ``par/or`` directly, the other through
+           a *nested* rejoin whose continuation emits.  Glitch-free join
+           priorities run the inner continuation (``g<idx>b``) before the
+           outer kill reaches it; a flat-priority backend may kill the
+           inner branch first and lose the emit and the ``vb`` update;
+        1. the branches of a ``par/and`` each ``break`` out of a loop
+           through a ``par``: the first loop sits inside two plain
+           ``do … end`` blocks, the second inside an outer loop, so the
+           first escape is the deeper one and ``g<idx>a`` precedes
+           ``g<idx>b``.  A backend that does not count ``do`` blocks
+           runs the second first;
+        2. the same race, the first branch leaving a ``va = do … end``
+           value block (inside two ``do … end`` blocks) by ``return``
+           through a ``par``.
+
+        The gadget events are dedicated, never-awaited internal voids, so
         only the portable signature (``==EMIT`` order) observes them and
         the temporal analysis still accepts the program."""
         event = self.rng.choice(EXT_EVENTS)
         va, vb = self.rng.sample(scope.variables, 2)
         self.awaits += 1
+        if idx % 3:
+            self.gen_escape_race(event, va, vb, idx, depth)
+            return
         self.out("par/or do", depth)
         self.out(f"await {event};", depth + 1)
         self.out(f"{va} = {va} + 1;", depth + 1)
@@ -497,6 +515,45 @@ class ProgramGen:
         self.out("await forever;", depth + 2)
         self.out("end", depth + 1)
         self.out(f"emit g{idx}b;", depth + 1)
+        self.out("end", depth)
+
+    def gen_escape_race(self, event: str, va: str, vb: str, idx: int,
+                        depth: int) -> None:
+        """Gadget shapes 1 and 2 of :meth:`gen_prio_gadget`."""
+        self.out("par/and do", depth)
+        self.out("do", depth + 1)
+        self.out("do", depth + 2)
+        if idx % 3 == 1:
+            self.out("loop do", depth + 3)
+            self.gen_par_escape(event, [f"{va} = {va} + 1;", "break;"],
+                                depth + 4)
+        else:
+            self.out(f"{va} = do", depth + 3)
+            self.gen_par_escape(event, [f"return {va} + 1;"], depth + 4)
+        self.out("end", depth + 3)
+        self.out("end", depth + 2)
+        self.out("end", depth + 1)
+        self.out(f"emit g{idx}a;", depth + 1)
+        self.out("with", depth)
+        self.out("loop do", depth + 1)
+        self.out("loop do", depth + 2)
+        self.gen_par_escape(event, [f"{vb} = {vb} + 1;", "break;"],
+                            depth + 3)
+        self.out("end", depth + 2)
+        self.out(f"emit g{idx}b;", depth + 2)
+        self.out("break;", depth + 2)
+        self.out("end", depth + 1)
+        self.out("end", depth)
+
+    def gen_par_escape(self, event: str, escape: list[str],
+                       depth: int) -> None:
+        """``par do await <event>; <escape> with await forever; end``"""
+        self.out("par do", depth)
+        self.out(f"await {event};", depth + 1)
+        for line in escape:
+            self.out(line, depth + 1)
+        self.out("with", depth)
+        self.out("await forever;", depth + 1)
         self.out("end", depth)
 
     def gen_consumer(self, scope: _Scope, depth: int,

@@ -403,14 +403,19 @@ def _diff_spec(vm: RunResult, spec: RunResult) -> dict:
     return details
 
 
+def _vote(res: RunResult) -> tuple:
+    done, result, output, psig = res.observable()
+    return (done, result, output, canon_psig(psig))
+
+
 def three_way_attribution(vm: RunResult, c: RunResult,
                           spec: RunResult) -> dict:
-    """Given all three backends, vote on the portable signatures: the
-    odd one out is (probably) the buggy backend.  ``odd_one_out`` is
-    None when all agree, a backend name under a 2-vs-1 split, or
-    ``"all"`` when no two agree."""
-    pv, pc, ps = (canon_psig(vm.psig), canon_psig(c.psig),
-                  canon_psig(spec.psig))
+    """Given all three backends, vote on what :func:`_diff` compares —
+    status, result, output and the portable signature (through
+    :func:`canon_psig`): the odd one out is (probably) the buggy
+    backend.  ``odd_one_out`` is None when all agree, a backend name
+    under a 2-vs-1 split, or ``"all"`` when no two agree."""
+    pv, pc, ps = _vote(vm), _vote(c), _vote(spec)
     agree = {"vm==c": pv == pc, "vm==spec": pv == ps, "c==spec": pc == ps}
     if agree["vm==c"] and agree["vm==spec"]:
         odd = None

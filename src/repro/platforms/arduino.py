@@ -139,9 +139,6 @@ class ArduinoBoard:
             nxt = min(end, self.program.clock + step)
             self.program.at(nxt)
 
-    def send_key_event(self, name: str, value: int = 0) -> None:
-        self.program.send(name, value)
-
     def stats(self) -> dict:
         """Board snapshot: VM metrics plus board-side activity."""
         stats = self.program.stats()

@@ -144,28 +144,6 @@ class Scheduler:
         self._live: dict[Trail, None] = {}  # spawn order
         self.root: Optional[Trail] = None
 
-        self._depth = self._compute_depths()
-
-    # ------------------------------------------------------------ prepass
-    def _compute_depths(self) -> dict[int, int]:
-        depth: dict[int, int] = {}
-
-        def walk(node: ast.Node, d: int) -> None:
-            depth[node.nid] = d
-            nested = d + 1 if isinstance(
-                node, (ast.ParStmt, ast.Loop, ast.DoBlock,
-                       ast.AsyncBlock)) else d
-            for child in node.children():
-                walk(child, nested)
-
-        walk(self.bound.program, 0)
-        return depth
-
-    def depth(self, node: Optional[ast.Node]) -> int:
-        if node is None:
-            return 0
-        return self._depth.get(node.nid, 0)
-
     # ------------------------------------------------------- observability
     def enable_metrics(self) -> FleetRegistry:
         """Attach (once) the metrics collector.  The VM feeds it directly
@@ -355,10 +333,6 @@ class Scheduler:
                 if hooked:
                     self.hooks.cause = prev_cause
 
-    def advance_time(self, us: int) -> str:
-        """Convenience: ``go_time(clock + us)``."""
-        return self.go_time(self.clock + us)
-
     def go_async(self) -> str:
         """One async step (``ceu_go_async``): a single loop iteration or a
         single emit of the current job, round-robin across jobs."""
@@ -429,10 +403,6 @@ class Scheduler:
         finally:
             self._drive_depth -= 1
             self._journal_close(rec)
-
-    def has_work(self) -> bool:
-        """Anything left that could run without external stimulus?"""
-        return bool(self.input_queue or self.async_jobs) and not self.done
 
     def awaiting_count(self) -> int:
         """Live trails halted on an event, a timer or ``forever``.  A
@@ -533,14 +503,16 @@ class Scheduler:
             self._ready.append(item)
 
     def _enqueue_join(self, join: Join) -> None:
-        self._enqueue_continuation(self.depth(join.node), join)
+        self._enqueue_continuation(join.depth, join)
 
     def _enqueue_escape(self, trail: Trail, signal: Exception) -> None:
         if isinstance(signal, BreakSignal):
-            target_depth = self.depth(signal.target)
+            target = signal.target
         else:
-            boundary = signal.boundary  # type: ignore[attr-defined]
-            target_depth = self.depth(boundary)
+            target = signal.boundary  # type: ignore[attr-defined]
+        # a `return` to the program escapes to depth 0
+        target_depth = (0 if target is None
+                        else self.bound.join_depth[target.nid])
         self._enqueue_continuation(target_depth, EscapeJoin(trail, signal))
 
     def _dispatch_join(self, join: Join) -> None:
@@ -701,7 +673,8 @@ class Scheduler:
     def spawn_par(self, node: ast.ParStmt, owner: Trail) -> Join:
         region = owner.path + (next(self._region_seq),)
         join = Join(node=node, mode=node.mode, owner=owner, region=region,
-                    depth=self.depth(node), n_branches=len(node.blocks))
+                    depth=self.bound.join_depth[node.nid],
+                    n_branches=len(node.blocks))
         branches = list(enumerate(node.blocks))
         if self.reverse_seeds:
             branches.reverse()

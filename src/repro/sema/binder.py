@@ -10,6 +10,11 @@ layout, code generation and the reference VM).  It resolves:
 * ``return`` statements to their *value boundary* — the innermost block
   used as the right-hand side of an assignment (``v = par do ... end``,
   ``ret = async do ... end``, ``v = do ... end``) or the program itself,
+* every ``par``, ``loop``, ``do ... end`` and ``async`` to its *join
+  depth*: how many of those constructs enclose it.  Rejoins and escapes
+  run inner-first by this depth (§4.1); the VM, the reference semantics,
+  the temporal analysis, the flow graph and the C backend all read it
+  from here,
 
 and enforces the contextual rules of the paper:
 
@@ -48,6 +53,9 @@ class BoundProgram:
     parent: dict[int, ast.Node] = field(default_factory=dict)
     #: nodes that act as value boundaries (SetExp-positioned blocks)
     value_boundaries: set[int] = field(default_factory=set)
+    #: par/loop/do/async nid → how many par/loop/do/async enclose it
+    #: (§4.1 join priority: the deeper, the earlier), in binding order
+    join_depth: dict[int, int] = field(default_factory=dict)
     #: C function names referenced anywhere (for reporting / codegen)
     c_symbols: set[str] = field(default_factory=set)
 
@@ -70,6 +78,7 @@ class _Binder:
         self._scope = Scope()
         self._loops: list[ast.Loop] = []
         self._boundaries: list[ast.Node] = []  # value-boundary stack
+        self._join_level = 0  # enclosing par/loop/do/async constructs
         self._async_depth = 0
         self._async_scope: Optional[Scope] = None  # outermost scope inside async
 
@@ -172,24 +181,19 @@ class _Binder:
             if s.orelse is not None:
                 self._bind_block(s.orelse)
             return
-        if isinstance(s, ast.Loop):
-            self._loops.append(s)
+        if isinstance(s, (ast.Loop, ast.ParStmt, ast.DoBlock,
+                          ast.AsyncBlock)):
+            self.out.join_depth[s.nid] = self._join_level
+            self._join_level += 1
             try:
-                self._bind_block(s.body)
+                self._bind_construct(s)
             finally:
-                self._loops.pop()
+                self._join_level -= 1
             return
         if isinstance(s, ast.Break):
             if not self._loops:
                 raise BindError("`break` outside of a loop", s.span)
             self.out.break_target[s.nid] = self._loops[-1]
-            return
-        if isinstance(s, ast.ParStmt):
-            if self._async_depth:
-                raise AsyncError("parallel blocks are not allowed inside "
-                                 "`async`", s.span)
-            for blk in s.blocks:
-                self._bind_block(blk)
             return
         if isinstance(s, ast.CCallStmt):
             self._bind_exp(s.call)
@@ -207,13 +211,26 @@ class _Binder:
             boundary = self._boundaries[-1] if self._boundaries else None
             self.out.ret_boundary[s.nid] = boundary
             return
-        if isinstance(s, ast.DoBlock):
-            self._bind_block(s.body)
-            return
-        if isinstance(s, ast.AsyncBlock):
-            self._bind_async(s)
-            return
         raise BindError(f"unhandled statement {type(s).__name__}", s.span)
+
+    def _bind_construct(self, s: ast.Stmt) -> None:
+        """The bodies of a par/loop/do/async, one join level deeper."""
+        if isinstance(s, ast.Loop):
+            self._loops.append(s)
+            try:
+                self._bind_block(s.body)
+            finally:
+                self._loops.pop()
+        elif isinstance(s, ast.ParStmt):
+            if self._async_depth:
+                raise AsyncError("parallel blocks are not allowed inside "
+                                 "`async`", s.span)
+            for blk in s.blocks:
+                self._bind_block(blk)
+        elif isinstance(s, ast.DoBlock):
+            self._bind_block(s.body)
+        else:
+            self._bind_async(s)
 
     def _bind_async(self, s: ast.AsyncBlock) -> None:
         if self._async_depth:

@@ -45,10 +45,6 @@ class EventSymbol:
     uid: int = -1
 
     @property
-    def is_input(self) -> bool:
-        return self.kind == "input"
-
-    @property
     def is_internal(self) -> bool:
         return self.kind == "internal"
 

@@ -79,27 +79,12 @@ class Machine(StatementRules):
         self._job_seq = itertools.count(1)
         self._transcript: Optional[list[str]] = [] if transcript else None
 
-        self._depth = self._compute_depths()
-
-    # ------------------------------------------------------------- prepass
-    def _compute_depths(self) -> dict[int, int]:
-        depth: dict[int, int] = {}
-
-        def walk(node: ast.Node, d: int) -> None:
-            depth[node.nid] = d
-            nested = d + 1 if isinstance(
-                node, (ast.ParStmt, ast.Loop, ast.DoBlock,
-                       ast.AsyncBlock)) else d
-            for child in node.children():
-                walk(child, nested)
-
-        walk(self.bound.program, 0)
-        return depth
-
     def _depth_of(self, node: Optional[ast.Node]) -> int:
+        """§4.1 join depth of a construct (binder data); the program
+        itself, the boundary of a top-level ``return``, is depth 0."""
         if node is None:
             return 0
-        return self._depth.get(node.nid, 0)
+        return self.bound.join_depth[node.nid]
 
     # ----------------------------------------------------------- recording
     def _note(self, line: str) -> None:
@@ -308,7 +293,7 @@ class Machine(StatementRules):
                             (trail, mode)))
 
     def _enqueue_join(self, join: SpecJoin) -> None:
-        prio = (1, -self._depth_of(join.node))
+        prio = (1, -join.depth)
         self.agenda.append((prio, next(self._seq), "join", join))
 
     def _enqueue_escape(self, trail: SpecTrail, sig) -> None:

@@ -1,5 +1,7 @@
 """C backend: structural checks plus gcc differential tests against the VM."""
 
+from pathlib import Path
+
 import pytest
 
 from helpers import bound_of, compile_and_run_c, requires_gcc, run_program
@@ -57,6 +59,15 @@ class TestEmittedStructure:
         assert c.n_events == 2
         assert c.n_tracks > 4
         assert c.rom_bytes() > 1000
+
+    def test_text_depends_on_the_program_alone(self):
+        """Node ids come from a process-global counter; the scratch slots
+        (par/and counters, value slots) must not be named after them."""
+        src = (Path(__file__).parent / "corpus" / "deep_025.ceu").read_text()
+        first, second = (compile_to_c(bound_of(src)).code
+                         for _ in range(2))
+        assert "CNT_" in first
+        assert first == second
 
 
 DIFFERENTIAL_CORPUS = [

@@ -27,6 +27,7 @@ import pytest
 
 from repro.apps import load
 from repro.cli import main
+from repro.lang import ast
 from repro.obs import FlightRecorder, StreamingJsonlExporter, render_prom
 from repro.obs.fleet import counter_samples
 from repro.runtime.farm import Farm
@@ -114,6 +115,23 @@ class TestLifecycle:
         snap = farm.fleet_snapshot()
         dropped = snap["families"]["farm_events_dropped_total"]["series"]
         assert dropped == [[["oneshot", "GO"], 1]]
+
+    def test_spawn_walks_no_syntax_tree(self, monkeypatch):
+        """Every per-program fact, the §4.1 join depths included, is bound
+        once by add_program: a spawn builds only the instance's state."""
+        farm = Farm()
+        farm.add_program("sense", load("sense"))
+        children = ast.Node.children
+        calls = []
+
+        def counting_children(node):
+            calls.append(node)
+            return children(node)
+
+        monkeypatch.setattr(ast.Node, "children", counting_children)
+        farm.spawn(50, program="sense")
+        assert farm.live() == 50
+        assert len(calls) == 0
 
     def test_multiple_programs_one_farm(self):
         farm = Farm()

@@ -27,9 +27,10 @@ from pathlib import Path
 import pytest
 from helpers import HAVE_GCC, requires_gcc
 
-from repro.fuzz import (FuzzRunner, GenCase, canon_psig, canon_sig,
-                        check_case, generate_case, run_c, run_semantics,
-                        run_vm, shrink, three_way_attribution)
+from repro.fuzz import (FuzzRunner, GenCase, RunResult, canon_psig,
+                        canon_sig, check_case, generate_case, run_c,
+                        run_semantics, run_vm, shrink,
+                        three_way_attribution)
 from repro.lang import parse
 from repro.runtime.scheduler import Scheduler
 from repro.sema import bind
@@ -281,6 +282,21 @@ end
         assert attribution["odd_one_out"] == "vm"
         assert attribution["agreement"] == {
             "vm==c": False, "vm==spec": False, "c==spec": True}
+
+    def test_three_way_votes_on_everything_the_diff_compares(self):
+        """A backend that returns a different value under the same
+        signature is the odd one out too: the vote compares what the
+        vm-vs-c oracle reports, not the signatures alone."""
+        psig = (("boot", ()), ("A", ()))
+
+        def result(backend, value):
+            return RunResult(backend, done=True, result=value, psig=psig)
+
+        attribution = three_way_attribution(
+            result("vm", 25), result("c", 10), result("spec", 25))
+        assert attribution["odd_one_out"] == "c"
+        assert attribution["agreement"] == {
+            "vm==c": False, "vm==spec": True, "c==spec": False}
 
 
 # ---------------------------------------------------------------------------
