@@ -615,7 +615,6 @@ def bench_checkpoint(repeats: int = 3) -> dict:
     import tempfile
 
     from .apps import load
-    from .obs.fleet import FleetRegistry
     from .runtime.checkpoint import restore
     from .runtime.farm import Farm, _StubCEnv
 
@@ -641,10 +640,8 @@ def bench_checkpoint(repeats: int = 3) -> dict:
         snapshot_s = min(snapshot_s, time.perf_counter() - start)
     # blink calls platform C stubs — restore needs the same auto-stubbing
     # environment the farm gives its instances
-    stubs = FleetRegistry()
-    stub_calls = stubs.counter_family("bench_c_calls_total", ("symbol",))
     for _ in range(repeats):
-        cenv = _StubCEnv(stubs, stub_calls)
+        cenv = _StubCEnv(seed.fleet, seed._c_calls, muted=True)
         start = time.perf_counter()
         restore(ck, cenv=cenv)
         restore_s = min(restore_s, time.perf_counter() - start)

@@ -94,15 +94,22 @@ from .lang import parse
 from .lang.errors import CeuError
 from .obs import ChromeTraceExporter, JsonlExporter, render_stats
 from .obs.fleet import FLEET_SCHEMA, sample
-from .runtime import Program
+from .runtime import CheckpointError, Program
 from .runtime.program import parse_time
 from .sema import bind, check_bounded
 
 
 def _load(path: str) -> str:
+    """Read an input file (``-`` is stdin).  A missing or unreadable one
+    is a one-line diagnostic (``main`` exits 1), never a traceback."""
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except OSError as err:
+        raise CeuError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise CeuError(f"{path}: {err}") from None
 
 
 def cmd_check(args) -> int:
@@ -418,9 +425,6 @@ def cmd_why(args) -> int:
 def _debug_repl(dbg, label: str) -> int:
     """The time-travel REPL loop shared by ``repro debug`` and
     ``repro postmortem --debug``."""
-    from .obs import TimeTravelDebugger
-    from .runtime.checkpoint import CheckpointError
-
     print(f"{label}: {dbg.total} reaction(s) replayed "
           f"deterministically; `help` lists commands")
     print(dbg.render_state())
@@ -1274,7 +1278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CeuError as err:
+    except (CeuError, CheckpointError) as err:
         print(str(err), file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ import json
 from typing import BinaryIO, Optional
 
 
+
 class ProtocolError(Exception):
     """Malformed framing — unrecoverable; the server exits."""
 
@@ -42,18 +43,23 @@ class JsonRpcStream:
                 break              # blank line terminates the headers
             name, _, value = line.partition(b":")
             if name.strip().lower() == b"content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
+                value = value.strip()
+                if not value.isdigit():         # ASCII digits only
                     raise ProtocolError(f"bad Content-Length: {value!r}")
+                length = int(value)
         if length is None:
             raise ProtocolError("missing Content-Length header")
-        body = self.reader.read(length)
-        if len(body) != length:
-            raise ProtocolError("EOF inside message body")
+        # read in bounded chunks: a length past the end of the stream
+        # is an EOF, not one huge allocation
+        body = bytearray()
+        while len(body) < length:
+            chunk = self.reader.read(min(length - len(body), 1 << 16))
+            if not chunk:
+                raise ProtocolError("EOF inside message body")
+            body += chunk
         try:
             message = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        except (ValueError, RecursionError) as err:
             raise ProtocolError(f"bad message body: {err}")
         if not isinstance(message, dict):
             raise ProtocolError("message body is not an object")

@@ -96,7 +96,8 @@ class LspServer:
         while self.exit_code is None:
             try:
                 message = self.stream.read()
-            except ProtocolError:
+            except ProtocolError as err:
+                print(f"repro lsp: {err}", file=sys.stderr)
                 return 1
             if message is None:       # client hung up
                 return 0 if self.shutdown_requested else 1

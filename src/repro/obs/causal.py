@@ -93,7 +93,8 @@ class CausalGraph(RecordingSubscriber):
 
         graph = program.observe(CausalGraph(program.hooks))
 
-    or just ``program.causal()``.
+    To see a checkpoint's replay, subscribe it to a fresh bus and hand
+    that to :func:`~repro.runtime.checkpoint.restore` (``hooks=bus``).
     """
 
     def __init__(self, bus: HookBus) -> None:

@@ -40,6 +40,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .causal import CausalGraph
+from .hooks import HookBus
 
 
 class TimeTravelDebugger:
@@ -67,12 +68,17 @@ class TimeTravelDebugger:
                  filename: str = "<ceu>",
                  checkpoint_interval: Optional[int] = None,
                  checkpoint_ring: int = 8):
+        # deferred: obs is imported by the runtime it drives
+        from ..runtime.program import Program
+
         self.source = source
         self.script = list(script)
         self.filename = filename
         self._ckpt = None
         # pass 1: the one instrumented run
-        program, self.graph = self._instrumented_boot()
+        program = Program(source, trace=True, filename=filename,
+                          record=True)
+        self.graph = program.observe(CausalGraph(program.hooks))
         program.start()
         program.run_script(self.script)
         self._finish_init(program, checkpoint_interval, checkpoint_ring)
@@ -84,49 +90,25 @@ class TimeTravelDebugger:
         """Open a :class:`~repro.runtime.checkpoint.Checkpoint` (a saved
         session or a postmortem bundle's) as a debugging session.
 
-        The instrumented pass replays the embedded journal up to the
-        checkpoint's boundary — for a crash checkpoint that is one
-        reaction short of the crash — and verifies the state fingerprint
-        when one is present.  The horizon (:attr:`total`) is the
+        The instrumented pass restores the checkpoint — for a crash
+        checkpoint that is one reaction short of the crash — with the
+        causal graph watching.  The horizon (:attr:`total`) is the
         boundary; everything before it is navigable as usual.
         """
-        from ..runtime.checkpoint import (CheckpointError, replay_journal,
-                                          state_fingerprint)
+        from ..runtime.checkpoint import restore
 
         self = cls.__new__(cls)
         self.source = ckpt.source
         self.script = None
         self.filename = ckpt.filename
         self._ckpt = ckpt
-        program, self.graph = self._instrumented_boot()
-        sched = program.sched
-        boundary = ckpt.reaction_count
-        sched.pause_at = boundary
-        sched.go_init()
-        replay_journal(sched, ckpt.journal, pause_at=boundary)
-        if ckpt.fingerprint is not None:
-            got = state_fingerprint(sched)
-            if got != ckpt.fingerprint:
-                raise CheckpointError(
-                    f"checkpoint replay diverged: fingerprint "
-                    f"{got[:12]}… != {ckpt.fingerprint[:12]}…")
+        bus = HookBus()
+        self.graph = bus.subscribe(CausalGraph(bus))
+        program = restore(ckpt, trace=True, hooks=bus)
         self._finish_init(program, checkpoint_interval, checkpoint_ring)
         return self
 
     # ----------------------------------------------------------- execution
-    def _instrumented_boot(self):
-        """Fresh fully-instrumented program (not yet started)."""
-        # deferred: obs is imported by the runtime it drives
-        from ..runtime.program import Program
-
-        program = Program(self.source, trace=True, filename=self.filename,
-                          record=True)
-        if self._ckpt is not None:
-            from ..runtime.checkpoint import apply_options
-            apply_options(program.sched, self._ckpt)
-        graph = program.observe(CausalGraph(program.hooks))
-        return program, graph
-
     def _finish_init(self, program, interval: Optional[int],
                      ring: int) -> None:
         sched = program.sched
@@ -244,10 +226,17 @@ class TimeTravelDebugger:
         """Serialize the current position as a checkpoint file; a later
         ``repro debug --from-checkpoint`` (or :meth:`from_checkpoint`)
         reopens the session exactly here."""
-        from ..runtime.checkpoint import snapshot
+        from ..runtime.checkpoint import journal_cursor, snapshot
 
+        # the journal a replay to this position records: the entries it
+        # completes, plus the one it stops inside, stamped here
+        cut = journal_cursor(self.journal, self.at)
+        journal = self.journal[:cut]
+        if cut < len(self.journal) and \
+                self.at > (journal[-1][-1] if journal else 1):
+            journal.append(self.journal[cut][:-1] + (self.at,))
         ckpt = snapshot(self.program, source=self.source,
-                        filename=self.filename, journal=self.journal)
+                        filename=self.filename, journal=journal)
         ckpt.save(path)
         return ckpt.describe()
 

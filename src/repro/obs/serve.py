@@ -208,6 +208,11 @@ class AdminServer:
             return list(self.postmortems_fn())
 
 
+#: how long a POST handler waits for the body its Content-Length
+#: announced before answering 400 and closing
+BODY_TIMEOUT_S = 2.0
+
+
 class _Handler(BaseHTTPRequestHandler):
     """One request; dispatch on path.  Never logs to stderr."""
 
@@ -306,11 +311,12 @@ class _Handler(BaseHTTPRequestHandler):
         start = time.perf_counter()
         code, nbytes = 500, 0
         try:
-            # drain any body so keep-alive connections stay in sync
-            length = int(self.headers.get("Content-Length") or 0)
-            if length:
-                self.rfile.read(length)
-            if endpoint == "/checkpoint":
+            error = self._drain_body()
+            if error is not None:
+                code = 400
+                nbytes = self._send_json(400, {"error": error})
+                self.close_connection = True
+            elif endpoint == "/checkpoint":
                 code, nbytes = self._post_checkpoint(admin, url.query)
             else:
                 code = 405
@@ -321,6 +327,26 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             us = int((time.perf_counter() - start) * 1_000_000)
             admin._observe(endpoint, code, us, nbytes)
+
+    def _drain_body(self) -> Optional[str]:
+        """Read and drop a POST body, so keep-alive connections stay in
+        sync; returns what is wrong with it, if anything."""
+        raw = self.headers.get("Content-Length") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            return f"bad Content-Length: {raw!r}"
+        length = int(raw)
+        self.connection.settimeout(BODY_TIMEOUT_S)
+        try:
+            while length:
+                chunk = self.rfile.read1(min(length, 1 << 16))
+                if not chunk:
+                    break
+                length -= len(chunk)
+        except TimeoutError:
+            pass
+        finally:
+            self.connection.settimeout(None)
+        return f"request body is {length} byte(s) short" if length else None
 
     def _post_checkpoint(self, admin: AdminServer,
                          query: str) -> tuple[int, int]:

@@ -220,6 +220,52 @@ def journal_cursor(journal, reactions: int) -> int:
 # the checkpoint
 # ---------------------------------------------------------------------------
 
+#: the scheduler options a checkpoint carries, with their types
+_OPTIONS = {"compensate_deltas": bool, "glitch_free": bool,
+            "reverse_seeds": bool, "step_limit": int}
+#: every payload field the views and the replay read, with its types
+_FIELDS = {"program.source": (str,), "program.filename": (str,),
+           "program.sha256": (str,), "boundary.reactions": (int,),
+           "boundary.clock_us": (int,), "boundary.steps": (int, type(None)),
+           "boundary.done": (bool,), "journal": (list,),
+           "fingerprint": (str, type(None)),
+           **{f"options.{key}": (t,) for key, t in _OPTIONS.items()}}
+#: journal op → entry length: the op, its arguments, the stamp
+_ARITY = {"E": 4, "T": 3, "A": 2, "Q": 4, "F": 2}
+
+
+def _check_fields(payload: dict) -> None:
+    """Refuse a payload a view or the replay would trip over, naming the
+    first bad field."""
+    for key, want in (("format", FORMAT), ("version", VERSION)):
+        got = payload.get(key)
+        if type(got) is not type(want) or got != want:
+            raise CheckpointError(f"checkpoint {key} is {got!r}, not "
+                                  f"{want!r}")
+    for name, types in _FIELDS.items():
+        value = payload
+        for key in name.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise CheckpointError(f"checkpoint field {name} is missing")
+            value = value[key]
+        if type(value) not in types:        # exact: a bool is no int
+            raise CheckpointError(f"checkpoint field {name} must be "
+                                  f"{' or '.join(t.__name__ for t in types)}"
+                                  f", got {value!r:.40}")
+    if payload["boundary"]["reactions"] < 1:
+        raise CheckpointError("checkpoint field boundary.reactions is < 1")
+    for i, entry in enumerate(payload["journal"]):
+        if not (type(entry) is list and entry and type(entry[0]) is str
+                and _ARITY.get(entry[0]) == len(entry)
+                and type(entry[-1]) is int):
+            raise CheckpointError(f"checkpoint journal entry {i} is not "
+                                  f"[op, …, stamp]: {entry!r:.40}")
+    source = payload["program"]["source"].encode("utf-8", "surrogatepass")
+    if _sha256(source) != payload["program"]["sha256"]:
+        raise CheckpointError("checkpoint program.source does not match "
+                              "program.sha256")
+
+
 class Checkpoint:
     """One serialized reaction-boundary configuration (see module doc).
 
@@ -228,14 +274,7 @@ class Checkpoint:
     """
 
     def __init__(self, payload: dict):
-        if payload.get("format") != FORMAT:
-            raise CheckpointError(
-                f"not a {FORMAT} payload: format="
-                f"{payload.get('format')!r}")
-        if payload.get("version") != VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version "
-                f"{payload.get('version')!r} (expected {VERSION})")
+        _check_fields(payload)
         self.payload = payload
 
     # ------------------------------------------------------------ views
@@ -272,16 +311,8 @@ class Checkpoint:
         return self.payload["boundary"]["clock_us"]
 
     @property
-    def fingerprint(self) -> str:
+    def fingerprint(self) -> Optional[str]:
         return self.payload["fingerprint"]
-
-    @property
-    def rng(self) -> Optional[list]:
-        return self.payload.get("rng")
-
-    @property
-    def watermarks(self) -> dict:
-        return self.payload.get("watermarks", {})
 
     def describe(self) -> str:
         b = self.boundary
@@ -312,11 +343,11 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, data: Union[bytes, str]) -> "Checkpoint":
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
         try:
+            if isinstance(data, bytes):
+                data = data.decode("utf-8")
             payload = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CheckpointError(f"unparsable checkpoint: {exc}") \
                 from None
         if not isinstance(payload, dict):
@@ -325,26 +356,18 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        return cls.from_bytes(Path(path).read_bytes())
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise CheckpointError(f"{path}: {exc.strerror or exc}") \
+                from None
+        return cls.from_bytes(data)
 
 
-def snapshot(program, *, source: Optional[str] = None,
-             filename: Optional[str] = None,
-             rng: Optional[list] = None,
-             watermarks: Optional[dict] = None,
-             journal: Optional[list] = None) -> Checkpoint:
-    """Serialize one :class:`~repro.runtime.program.Program` (or bare
-    scheduler) at its current reaction boundary.
-
-    Requires journal recording (``sched.journal = []`` before boot —
-    ``Program(record=True)``, ``Farm(record=True)``, or the debugger do
-    this) and a quiescent scheduler (never call mid-reaction).
-
-    ``rng`` carries a workload driver's ``random.Random.getstate()``
-    (canonicalised) so a warm-started workload can continue its stimulus
-    stream; ``watermarks`` carries telemetry cursors (exporter seq,
-    trace length).  Both ride along uninterpreted — neither affects the
-    fingerprint."""
+def _payload(program, source: Optional[str], filename: Optional[str],
+             journal: Optional[list], crash: bool) -> dict:
+    """The one payload builder behind :func:`snapshot`,
+    :func:`snapshot_crash` and :func:`restore`'s check."""
     sched = getattr(program, "sched", program)
     if source is None:
         source = getattr(program, "source", None)
@@ -363,6 +386,16 @@ def snapshot(program, *, source: Optional[str] = None,
     if sched._reacting:
         raise CheckpointError("cannot snapshot mid-reaction — "
                               "checkpoints cut at reaction boundaries")
+    if sched.reaction_count == 0:
+        raise CheckpointError("cannot snapshot a program that was never "
+                              "started — start it first")
+    boundary = {"reactions": sched.reaction_count,
+                "steps": sched.steps_executed,
+                "clock_us": sched.clock,
+                "done": sched.done}
+    if crash:
+        boundary.update(reactions=max(1, sched.reaction_count - 1),
+                        steps=None, done=False)
     payload = {
         "format": FORMAT,
         "version": VERSION,
@@ -371,26 +404,28 @@ def snapshot(program, *, source: Optional[str] = None,
             "source": source,
             "sha256": _sha256(source.encode("utf-8")),
         },
-        "options": {
-            "compensate_deltas": sched.compensate_deltas,
-            "glitch_free": sched.glitch_free,
-            "reverse_seeds": sched.reverse_seeds,
-            "step_limit": sched.step_limit,
-        },
-        "boundary": {
-            "reactions": sched.reaction_count,
-            "steps": sched.steps_executed,
-            "clock_us": sched.clock,
-            "done": sched.done,
-        },
+        "options": {key: getattr(sched, key) for key in _OPTIONS},
+        "boundary": boundary,
         "journal": [list(_canon_value(entry)) for entry in journal],
-        "fingerprint": state_fingerprint(sched),
+        "fingerprint": None if crash else state_fingerprint(sched),
     }
-    if rng is not None:
-        payload["rng"] = _canon_value(rng)
-    if watermarks:
-        payload["watermarks"] = _canon_value(watermarks)
-    return Checkpoint(payload)
+    if crash:
+        payload["crash"] = True
+    return payload
+
+
+def snapshot(program, *, source: Optional[str] = None,
+             filename: Optional[str] = None,
+             journal: Optional[list] = None) -> Checkpoint:
+    """Serialize one started :class:`~repro.runtime.program.Program` (or
+    bare scheduler) at its current reaction boundary.
+
+    Requires journal recording (``sched.journal = []`` before boot —
+    ``Program(record=True)``, ``Farm(record=True)``, or the debugger do
+    this) and a quiescent scheduler (never call mid-reaction).
+    ``journal`` overrides the scheduler's own; it must be the journal a
+    replay to this boundary records, or :func:`restore` refuses it."""
+    return Checkpoint(_payload(program, source, filename, journal, False))
 
 
 def snapshot_crash(program, *, source: Optional[str] = None,
@@ -400,101 +435,77 @@ def snapshot_crash(program, *, source: Optional[str] = None,
     The VM died mid-reaction, so the current state is not a boundary and
     cannot be fingerprinted; instead the checkpoint targets the last
     completed boundary *before* the crashing reaction and carries no
-    fingerprint (``restore`` skips verification).  Replaying it parks
-    the VM one reaction short of the crash — exactly where a debugger
-    wants to stand."""
-    sched = getattr(program, "sched", program)
-    if source is None:
-        source = getattr(program, "source", None)
-    if filename is None:
-        filename = getattr(program, "filename", None)
-    if source is None:
-        raise CheckpointError("snapshot needs the program source text "
-                              "(pass source=)")
-    if sched.journal is None:
-        raise CheckpointError("journal recording is off — the crashed "
-                              "run was not checkpointable")
-    boundary = max(1, sched.reaction_count - 1)
-    payload = {
-        "format": FORMAT,
-        "version": VERSION,
-        "crash": True,
-        "program": {
-            "filename": filename or "<ceu>",
-            "source": source,
-            "sha256": _sha256(source.encode("utf-8")),
-        },
-        "options": {
-            "compensate_deltas": sched.compensate_deltas,
-            "glitch_free": sched.glitch_free,
-            "reverse_seeds": sched.reverse_seeds,
-            "step_limit": sched.step_limit,
-        },
-        "boundary": {
-            "reactions": boundary,
-            "steps": None,
-            "clock_us": sched.clock,
-            "done": False,
-        },
-        "journal": [list(_canon_value(entry))
-                    for entry in sched.journal],
-        "fingerprint": None,
-    }
-    return Checkpoint(payload)
+    fingerprint.  Its journal ends with the entry that crashed.
+    Replaying it parks the VM one reaction short of the crash — exactly
+    where a debugger wants to stand."""
+    return Checkpoint(_payload(program, source, filename, None, True))
 
 
 def restore(ckpt: Checkpoint, *, bound=None, cenv=None,
-            trace: bool = False, observe: bool = False,
-            record: bool = True, verify: bool = True,
+            trace: bool = False, hooks=None, record: bool = True,
             check: bool = False):
     """Materialise a checkpoint: boot a fresh VM and replay the journal
-    up to the boundary, then verify the state fingerprint.
+    up to the boundary.  This is the only code that stands a VM up at a
+    checkpoint's boundary, so it is where a bad checkpoint is refused.
 
     The replay runs with whatever instrumentation the caller asked for —
     the default (no trace, no metrics, detached hook bus) is the fast
-    path warm starts and ``debug goto`` rely on.  Pass ``bound=`` (a
-    shared :class:`~repro.sema.binder.BoundProgram`, e.g. a farm's) to
-    skip re-parsing; its identity is guarded by the program SHA the
-    caller is expected to have matched.  With ``record=True`` the
-    restored scheduler re-records the journal during replay, so further
-    checkpoints of the restored VM carry full history.
+    path warm starts rely on; ``hooks=`` is a bus whose subscribers (a
+    causal graph) must see the replay.  Pass ``bound=`` (a shared
+    :class:`~repro.sema.binder.BoundProgram`, e.g. a farm's) to skip
+    re-parsing; the caller must have matched it to ``ckpt.source``.
+    With ``record=False`` the restored VM stops journaling.
+
+    Raises :class:`CheckpointError` when the replay raises, and when the
+    restored VM does not :func:`snapshot` to ``ckpt``.  A crash
+    checkpoint is held only to its reaction count and the journal before
+    the entry that crashed.
 
     Returns the restored, un-paused :class:`Program`.
     """
     from .program import Program
 
-    src = bound if bound is not None else ckpt.source
-    program = Program(src, cenv=cenv, trace=trace, observe=observe,
-                      check=check, filename=ckpt.filename)
-    sched = program.sched
-    apply_options(sched, ckpt)
-    if record:
-        sched.journal = []
     boundary = ckpt.reaction_count
-    # Boot with go_init directly — Program.start() also drains boot-time
-    # asyncs, but those drains were themselves journaled as "A" ops.
-    sched.pause_at = boundary
-    sched.go_init()
-    replay_journal(sched, ckpt.journal, pause_at=boundary)
-    sched.pause_at = None
-    if verify and ckpt.fingerprint is not None:
-        got = state_fingerprint(sched)
-        if got != ckpt.fingerprint:
-            raise CheckpointError(
-                f"restore diverged from the checkpointed state: "
-                f"fingerprint {got[:12]}… != {ckpt.fingerprint[:12]}… "
-                f"(reaction {sched.reaction_count} vs {boundary})")
-    program.source = ckpt.source
+    try:
+        program = Program(ckpt.source if bound is None else bound,
+                          cenv=cenv, trace=trace, hooks=hooks, check=check,
+                          filename=ckpt.filename)
+        program.source = ckpt.source
+        sched = program.sched
+        apply_options(sched, ckpt)
+        sched.journal = []
+        # Boot with go_init directly — Program.start() also drains
+        # boot-time asyncs, but those drains were themselves journaled
+        # as "A" ops.
+        sched.go_init()
+        cursor = replay_journal(sched, ckpt.journal, pause_at=boundary)
+        sched.pause_at = None
+        want = ckpt.payload
+        if ckpt.fingerprint is None:
+            # a crash checkpoint: its clock and last journal entry belong
+            # to the reaction that crashed, past the boundary
+            journal = [list(_canon_value(e)) for e in sched.journal]
+            got = {"boundary": sched.reaction_count,
+                   "journal": journal[:cursor]}
+            want = {"boundary": boundary, "journal": want["journal"][:cursor]}
+        else:
+            got = _payload(program, None, None, None, False)
+    except Exception as exc:  # noqa: BLE001 - the checkpoint's fault
+        raise CheckpointError(f"restore failed: {type(exc).__name__}: "
+                              f"{exc}") from exc
+    differ = [key for key in want if got.get(key) != want[key]]
+    if differ:
+        raise CheckpointError(f"restore diverged from the checkpoint in "
+                              f"{', '.join(differ)}")
+    if not record:
+        sched.journal = None
     return program
 
 
 def apply_options(sched, ckpt: Checkpoint) -> None:
     """Copy a checkpoint's execution options onto a fresh scheduler."""
-    opts = ckpt.options
-    sched.compensate_deltas = opts["compensate_deltas"]
-    sched.glitch_free = opts["glitch_free"]
-    sched.reverse_seeds = opts["reverse_seeds"]
-    sched.step_limit = opts["step_limit"]
+    for key in _OPTIONS:
+        setattr(sched, key, ckpt.options[key])
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,13 @@ class _StubCEnv(CEnv):
     """A :class:`CEnv` that turns undefined C symbols into counting
     no-op stubs, counted in the fleet registry's ``calls`` family."""
 
-    def __init__(self, registry, calls) -> None:
+    def __init__(self, registry, calls, muted: bool = False) -> None:
         super().__init__()
         self._registry = registry
         self._calls = calls
-        #: muted during a warm-start replay: the re-executed C calls were
+        #: muted during a checkpoint replay: the re-executed C calls were
         #: already counted when the checkpointed instance first ran them
-        self.muted = False
+        self.muted = muted
 
     def lookup(self, name: str) -> Any:
         try:
@@ -244,19 +244,10 @@ class Farm:
         bound = self.programs[program]
         born = []
         for _ in range(n):
-            index = len(self.instances)
-            cenv = _StubCEnv(self.fleet, self._c_calls)
-            prog = Program(bound, cenv=cenv, observe=self.observe,
-                           check=False, record=self.record)
-            prog.sched.output_handler = self._output_handler(program)
-            if self._sinks:
-                prog.observe(InstanceTap(self._sinks, index))
-            for sub in self._subscribers:
-                prog.observe(sub)
-            inst = Instance(index, program, prog, self.sim.now)
-            self.instances.append(inst)
-            self.fleet.labels(self._spawned, program).inc()
-            self.fleet.labels(self._live_gauge, program).inc()
+            prog = Program(bound, cenv=_StubCEnv(self.fleet, self._c_calls),
+                           observe=self.observe, check=False,
+                           record=self.record)
+            inst = self._admit(prog, program, self.sim.now)
             prog.start()
             self._post_drive(inst)
             born.append(inst)
@@ -264,58 +255,50 @@ class Farm:
 
     def _spawn_warm(self, n: int, program: Optional[str],
                     ckpt) -> list[Instance]:
-        from .checkpoint import (replay_journal, state_fingerprint,
-                                 CheckpointError, apply_options)
+        from .checkpoint import CheckpointError, restore
 
         if program is None:
             program = "warm"
         if program not in self.programs:
             self.add_program(program, ckpt.source)
-            self.sources[program] = ckpt.source
+        elif self.sources.get(program) != ckpt.source:
+            raise CheckpointError(
+                f"checkpoint of {ckpt.filename} does not match the source "
+                f"registered as program {program!r}")
         bound = self.programs[program]
-        boundary = ckpt.reaction_count
         born = []
         for _ in range(n):
-            index = len(self.instances)
-            cenv = _StubCEnv(self.fleet, self._c_calls)
-            prog = Program(bound, cenv=cenv, observe=False, check=False,
+            # detached replay to the boundary, stubs muted
+            cenv = _StubCEnv(self.fleet, self._c_calls, muted=True)
+            prog = restore(ckpt, bound=bound, cenv=cenv,
                            record=self.record)
-            prog.source = ckpt.source
-            sched = prog.sched
-            apply_options(sched, ckpt)
-            # detached replay to the boundary (telemetry off, stubs muted)
-            cenv.muted = True
-            sched.pause_at = boundary
-            sched.go_init()
-            replay_journal(sched, ckpt.journal, pause_at=boundary)
-            sched.pause_at = None
             cenv.muted = False
-            if ckpt.fingerprint is not None:
-                got = state_fingerprint(sched)
-                if got != ckpt.fingerprint:
-                    raise CheckpointError(
-                        f"warm start diverged from checkpoint "
-                        f"(instance {index}): fingerprint {got[:12]}… "
-                        f"!= {ckpt.fingerprint[:12]}…")
             # attach the fleet telemetry only now — the replayed past is
             # the checkpointed instance's history, not this one's
             if self.observe:
-                sched.enable_metrics()
-            sched.output_handler = self._output_handler(program)
-            if self._sinks:
-                prog.observe(InstanceTap(self._sinks, index))
-            for sub in self._subscribers:
-                prog.observe(sub)
+                prog.sched.enable_metrics()
             # VM time continues from the checkpoint clock
-            inst = Instance(index, program, prog,
-                            self.sim.now - ckpt.clock_us)
-            self.instances.append(inst)
-            self.fleet.labels(self._spawned, program).inc()
+            inst = self._admit(prog, program, self.sim.now - ckpt.clock_us)
             self.fleet.labels(self._warm_starts, program).inc()
-            self.fleet.labels(self._live_gauge, program).inc()
             self._post_drive(inst)
             born.append(inst)
         return born
+
+    def _admit(self, prog: Program, program: str, t0: int) -> Instance:
+        """Join one booted or restored VM to the fleet: output counting,
+        the shared line sinks, the extra subscribers, and the
+        spawned/live counters."""
+        index = len(self.instances)
+        prog.sched.output_handler = self._output_handler(program)
+        if self._sinks:
+            prog.observe(InstanceTap(self._sinks, index))
+        for sub in self._subscribers:
+            prog.observe(sub)
+        inst = Instance(index, program, prog, t0)
+        self.instances.append(inst)
+        self.fleet.labels(self._spawned, program).inc()
+        self.fleet.labels(self._live_gauge, program).inc()
+        return inst
 
     def _output_handler(self, program: str) -> Callable[[str, Any], None]:
         labels, outputs = self.fleet.labels, self._outputs
@@ -550,16 +533,15 @@ class Farm:
         ``farm_postmortem_slice_errors_total``)."""
         try:
             from ..obs.causal import CausalGraph
-            from .checkpoint import apply_options, replay_journal
+            from ..obs.hooks import HookBus
+            from .checkpoint import restore
 
-            prog = Program(self.programs[inst.program_name], check=False)
-            apply_options(prog.sched, ck)
-            graph = prog.observe(CausalGraph(prog.hooks))
-            boundary = ck.reaction_count
-            prog.sched.pause_at = boundary
-            prog.sched.go_init()
-            replay_journal(prog.sched, ck.journal, pause_at=boundary)
-            node = graph.find(f"reaction:{boundary - 1}")
+            bus = HookBus()
+            graph = bus.subscribe(CausalGraph(bus))
+            restore(ck, bound=self.programs[inst.program_name],
+                    cenv=_StubCEnv(self.fleet, self._c_calls, muted=True),
+                    hooks=bus)
+            node = graph.find(f"reaction:{ck.reaction_count - 1}")
             if node is None:
                 return None
             return graph.render_slice(node.span)

@@ -107,13 +107,6 @@ class Program:
         """Everything the program printed via ``_printf`` and friends."""
         return self.cenv.output()
 
-    def checkpoint(self, **kw):
-        """Serialize the current reaction boundary — see
-        :func:`repro.runtime.checkpoint.snapshot` (requires
-        ``record=True``)."""
-        from .checkpoint import snapshot
-        return snapshot(self, **kw)
-
     # ------------------------------------------------------------- driving
     def start(self) -> str:
         """Boot reaction; drains any asyncs spawned at boot."""

@@ -15,10 +15,15 @@ The load-bearing properties:
   leaves a visible partial bundle.
 * **farm warm starts land on the checkpoint's fingerprint** and react
   identically to the original instance from there on.
+* **a bad checkpoint is refused in one place** — ``restore()`` stands
+  every consumer's VM up, and any damaged checkpoint either raises
+  :class:`CheckpointError` or restores to a VM that re-serialises to
+  its canonical bytes (pinned by 900 seeded byte mutants).
 """
 
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -207,6 +212,10 @@ class TestSerializer:
         finally:
             program.sched._reacting = False
 
+    def test_snapshot_of_an_unstarted_program_refuses(self):
+        with pytest.raises(CheckpointError, match="start it first"):
+            snapshot(Program(ACC, record=True), source=ACC)
+
     def test_crash_snapshot_parks_before_the_crash(self):
         src = "input int K;\nint v = await K;\nv = v / 0;\nreturn v;"
         program = Program(src, record=True)
@@ -219,6 +228,147 @@ class TestSerializer:
         restored = restore(ck)
         assert not restored.done
         assert restored.sched.reaction_count == 1
+
+
+# ------------------------------------------------------ hostile checkpoints
+def _mutate(rng, data: bytes) -> bytes:
+    """One seeded havoc operator: truncate, flip one bit, or overwrite
+    1–15 bytes."""
+    out = bytearray(data)
+    op = rng.randrange(3)
+    if op == 0:
+        return bytes(out[:rng.randrange(len(out))])
+    if op == 1:
+        out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+    else:
+        n = rng.randint(1, 15)
+        at = rng.randrange(len(out) - n + 1)
+        out[at:at + n] = bytes(rng.randrange(256) for _ in range(n))
+    return bytes(out)
+
+
+def _payload() -> dict:
+    """A fresh, mutable payload of a driven ACC program."""
+    program = full_run(ACC, [("E", "X", 1), ("E", "X", 2)])
+    return json.loads(snapshot(program, source=ACC).to_bytes())
+
+
+class TestHostileCheckpoints:
+    @pytest.mark.parametrize("name", ["deep_025", "timer_033",
+                                      "emit_021"])
+    def test_byte_mutants_refuse_or_restore_identically(self, name):
+        src, script = corpus_case(name)
+        program = Program(src, record=True, filename=f"{name}.ceu")
+        program.start()
+        program.run_script(script)
+        data = snapshot(program).to_bytes()
+        rng = random.Random(f"17:{name}")
+        silent = []
+        for i in range(300):
+            try:
+                ck = Checkpoint.from_bytes(_mutate(rng, data))
+                restored = restore(ck)
+            except CheckpointError:
+                continue
+            if snapshot(restored).to_bytes() != ck.to_bytes():
+                silent.append(i)
+        assert silent == []
+
+    def test_non_utf8_bytes_are_unparsable(self):
+        with pytest.raises(CheckpointError, match="unparsable"):
+            Checkpoint.from_bytes(b"\xff\xfe{}")
+
+    @pytest.mark.parametrize("path, value, field", [   # None: delete
+        (("program",), None, "program.source"),
+        (("program", "filename"), 7, "program.filename"),
+        (("options", "step_limit"), True, "options.step_limit"),
+        (("options",), {}, "options.compensate_deltas"),
+        (("boundary", "reactions"), 0, "boundary.reactions"),
+        (("boundary", "clock_us"), "1s", "boundary.clock_us"),
+        (("boundary", "steps"), 1.5, "boundary.steps"),
+        (("boundary", "done"), 0, "boundary.done"),
+        (("journal",), {}, "journal"),
+        (("journal",), [["E", "X", 1]], "journal entry 0"),
+        (("journal",), [["Z", 2]], "journal entry 0"),
+        (("journal",), [[["E"], 2]], "journal entry 0"),
+        (("fingerprint",), 12, "fingerprint"),
+    ])
+    def test_bad_fields_are_named(self, path, value, field):
+        payload = _payload()
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        if value is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        with pytest.raises(CheckpointError, match=field.replace(".", r"\.")):
+            Checkpoint(payload)
+
+    def test_changed_source_is_refused(self):
+        payload = _payload()
+        payload["program"]["source"] = ACC.replace("n + v", "n - v")
+        with pytest.raises(CheckpointError, match="sha256"):
+            Checkpoint(payload)
+
+    @pytest.mark.parametrize("key, delta", [("reactions", 1),
+                                            ("clock_us", 1),
+                                            ("steps", -1)])
+    def test_replay_must_land_on_the_boundary(self, key, delta):
+        payload = _payload()
+        payload["boundary"][key] += delta
+        with pytest.raises(CheckpointError, match="diverged.*boundary"):
+            restore(Checkpoint(payload))
+
+    @pytest.mark.parametrize("entry, stamp", [(0, 9), (1, 5), (1, 2)])
+    def test_journal_stamps_must_replay(self, entry, stamp):
+        payload = _payload()
+        payload["journal"][entry][-1] = stamp
+        with pytest.raises(CheckpointError, match="diverged.*journal"):
+            restore(Checkpoint(payload))
+
+    def test_replay_exceptions_become_checkpoint_errors(self):
+        payload = _payload()
+        payload["journal"][0][1] = "Nope"
+        with pytest.raises(CheckpointError, match="RuntimeCeuError"):
+            restore(Checkpoint(payload))
+        payload = _payload()
+        payload["options"]["step_limit"] = 1
+        with pytest.raises(CheckpointError, match="RuntimeCeuError"):
+            restore(Checkpoint(payload))
+
+    def test_crash_inside_a_time_advance_restores(self):
+        """A crash checkpoint's clock and last entry belong to the
+        crashing reaction: the replay parks before it, mid-entry."""
+        src = ("int v = 1;\n"
+               "par do\n"
+               "   loop do\n"
+               "      await 100ms;\n"
+               "   end\n"
+               "with\n"
+               "   await 1s;\n"
+               "   v = 10 / (v - 1);\n"
+               "end\n")
+        program = Program(src, record=True)
+        program.start()
+        with pytest.raises(Exception):
+            program.at(2_000_000)
+        ck = Checkpoint.from_bytes(
+            snapshot_crash(program, source=src).to_bytes())
+        restored = restore(ck)
+        assert restored.sched.reaction_count == ck.reaction_count == 11
+        assert TimeTravelDebugger.from_checkpoint(ck).total == 11
+
+    def test_debugger_saves_restore_at_every_position(self, tmp_path):
+        script = [("E", "X", k) for k in range(1, 6)] + \
+                 [("T", 25_000), ("E", "X", 9), ("T", 60_000),
+                  ("E", "X", 11), ("T", 100_000)]
+        dbg = TimeTravelDebugger(TIMERED, script, checkpoint_interval=3)
+        for pos in range(dbg.total, 0, -1):
+            dbg.goto(pos)
+            dbg.save(tmp_path / "pos.ckpt")
+            ck = Checkpoint.load(tmp_path / "pos.ckpt")
+            assert snapshot(restore(ck)).to_bytes() == ck.to_bytes()
 
 
 # ------------------------------------------------------------ time travel
@@ -498,6 +648,28 @@ class TestFarmWarmStarts:
             "farm_postmortem_slice_errors_total"]["series"] == \
             [[["t"], 1]]
 
+    def test_warm_start_into_another_source_is_refused(self):
+        farm = Farm(TIMERED, n=1, program="t", observe=False,
+                    record=True)
+        farm.add_program("acc", ACC)
+        farm.run_until(25_000)
+        with pytest.raises(CheckpointError, match="'acc'"):
+            farm.spawn(1, program="acc", warm_from=farm.checkpoint(0))
+        assert len(farm.instances) == 1
+
+    def test_slice_replays_through_the_c_stubs(self, tmp_path):
+        """A platform program's slice replay gets the farm's (muted)
+        C stubs, so its bundle carries a slice."""
+        from repro.apps import load
+
+        farm = Farm(load("blink"), n=2, program="blink", record=True,
+                    postmortem_dir=tmp_path)
+        farm.run_until("500ms")
+        bundle = load_postmortem(farm.postmortem(0))
+        assert "reaction #" in bundle.slice_text()
+        assert "farm_postmortem_slice_errors_total" not in \
+            farm.fleet_snapshot()["families"]
+
     def test_checkpoint_requires_record(self):
         farm = Farm(TIMERED, n=1, program="t", observe=False)
         farm.run_until(20_000)
@@ -607,6 +779,45 @@ class TestCli:
         monkeypatch.setattr("sys.stdin", io.StringIO("state\nquit\n"))
         assert main(["debug", "--from-checkpoint", str(ck)]) == 0
         assert "n = 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["debug", "--from-checkpoint", "{binary}"], "unparsable"),
+        (["debug", "--from-checkpoint", "{stub}"],
+         "program.source is missing"),
+        (["debug", "--from-checkpoint", "{absent}"], "No such file"),
+        (["run", "{absent}"], "No such file"),
+        (["check", "{absent}"], "No such file"),
+        (["c", "{binary}"], "can't decode"),
+        (["run", "{acc}", "--inputs", "{absent}"], "No such file"),
+    ])
+    def test_bad_files_are_one_line_diagnostics(self, tmp_path, capsys,
+                                                argv, needle):
+        from repro.cli import main
+
+        paths = {"binary": tmp_path / "binary.ckpt",
+                 "stub": tmp_path / "stub.ckpt",
+                 "absent": tmp_path / "absent",
+                 "acc": tmp_path / "acc.ceu"}
+        paths["binary"].write_bytes(b"\xff\xfe{}")
+        paths["stub"].write_text('{"format":"repro-checkpoint",'
+                                 '"version":1}')
+        paths["acc"].write_text(ACC)
+        assert main([a.format(**paths) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err, err
+
+    def test_postmortem_refuses_a_bundle_that_does_not_replay(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        program = full_run(ACC, [("E", "X", 41)])
+        payload = json.loads(snapshot(program, source=ACC).to_bytes())
+        payload["boundary"]["reactions"] += 1
+        path = write_postmortem(tmp_path / "b", Checkpoint(payload),
+                                reason="manual")
+        assert main(["postmortem", str(path), "--why", "reaction:1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "boundary" in err
 
     def test_debug_requires_a_source(self, capsys):
         from repro.cli import main

@@ -227,3 +227,32 @@ def test_exit_without_shutdown_is_failure():
     reader = io.BytesIO(frame(note("exit")))
     server = LspServer(reader, io.BytesIO())
     assert server.serve_forever() == 1
+
+
+# ------------------------------------------------------- hostile framing
+def serve_raw(data: bytes, capsys) -> tuple[int, str]:
+    """Serve raw bytes through a buffered reader (as stdin is); return
+    the exit code and what reached stderr."""
+    server = LspServer(io.BufferedReader(io.BytesIO(data)), io.BytesIO())
+    code = server.serve_forever()
+    return code, capsys.readouterr().err
+
+
+def test_negative_content_length_is_a_diagnostic(capsys):
+    code, err = serve_raw(b"Content-Length: -5\r\n\r\n{}", capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and "bad Content-Length" in err
+
+
+def test_length_past_the_stream_is_an_eof_not_an_allocation(capsys):
+    code, err = serve_raw(b"Content-Length: 99999999999\r\n\r\n{}",
+                          capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and "EOF inside message body" in err
+
+
+def test_protocol_errors_reach_stderr(capsys):
+    reader = io.BytesIO(b"Content-Length: 5\r\n\r\n[1,2]")
+    assert LspServer(reader, io.BytesIO()).serve_forever() == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not an object" in err

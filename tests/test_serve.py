@@ -17,6 +17,7 @@ The load-bearing properties:
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -235,6 +236,21 @@ def _post(url: str, timeout: float = 5.0) -> tuple[int, bytes]:
         return err.code, err.read()
 
 
+def _raw(server, request: bytes, timeout: float = 5.0) -> bytes:
+    """Send raw bytes to the admin plane; return all it answers before
+    closing the connection (or before ``timeout``)."""
+    chunks = []
+    with socket.create_connection((server.host, server.port),
+                                  timeout=timeout) as sock:
+        sock.sendall(request)
+        try:
+            while data := sock.recv(65536):
+                chunks.append(data)
+        except TimeoutError:
+            pass
+    return b"".join(chunks)
+
+
 @pytest.fixture()
 def ckpt_served(tmp_path):
     """A recorded farm behind an AdminServer with the checkpoint plane
@@ -306,6 +322,41 @@ class TestCheckpointPlane:
         server, _, _ = ckpt_served
         code, _ = _post(server.address + "/metrics")
         assert code == 405
+
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_bad_content_length_is_a_400(self, ckpt_served, length):
+        server, _, _ = ckpt_served
+        start = time.monotonic()
+        reply = _raw(server, b"POST /checkpoint HTTP/1.1\r\n"
+                             b"Content-Length: " + length + b"\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"bad Content-Length" in reply
+        assert time.monotonic() - start < 4     # answered and closed
+
+    def test_short_body_cannot_pin_the_handler(self, ckpt_served,
+                                               monkeypatch):
+        import repro.obs.serve as serve
+
+        monkeypatch.setattr(serve, "BODY_TIMEOUT_S", 0.3)
+        server, _, _ = ckpt_served
+        start = time.monotonic()
+        reply = _raw(server, b"POST /checkpoint HTTP/1.1\r\n"
+                             b"Content-Length: 10\r\n\r\nabc")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"7 byte(s) short" in reply
+        assert time.monotonic() - start < 4
+        # the plane still answers
+        code, _, _ = _get(server.address + "/healthz")
+        assert code == 200
+
+    def test_post_body_is_drained_on_keep_alive(self, ckpt_served):
+        server, _, _ = ckpt_served
+        reply = _raw(server, b"POST /metrics HTTP/1.1\r\n"
+                             b"Content-Length: 3\r\n\r\nabc"
+                             b"GET /readyz HTTP/1.1\r\n"
+                             b"Connection: close\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 405 ")
+        assert b"HTTP/1.1 200 " in reply and b'"ready"' in reply
 
     def test_postmortems_endpoint_lists_bundles(self, ckpt_served):
         server, farm, _ = ckpt_served
