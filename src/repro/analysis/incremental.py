@@ -49,7 +49,8 @@ How an edit is processed
    spans; when only ``NUM`` literals changed and the cached run had no
    conflicts the DFA is replayed too (the automaton is
    literal-independent; only witness realization is value-sensitive),
-   though the bounds recompute (array sizes live in NUM literals).
+   though the bounds recompute (array sizes live in NUM literals) and,
+   with the edited text's signature, replace the memoized ones.
    Anything else rebuilds.
 """
 
@@ -176,6 +177,8 @@ class _Region:
 
 @dataclass
 class _DfaMemo:
+    #: raw signature of the text ``bounds`` describe (a masked-equal
+    #: replay moves both forward; ``masked`` stays the DFA's key)
     raw: tuple
     masked: tuple
     dfa: object
@@ -823,6 +826,7 @@ class IncrementalAnalyzer:
         report.stages.append("stuck")
         if memo.bounds is not None:
             bounds = self._replay_bounds(memo, bound, nodes, flat_raw)
+            memo.bounds, memo.raw = bounds, flat_raw
             report.bounds = bounds
             report.add("CEU-I501",
                        f"static resource bounds: {bounds.summary()}",

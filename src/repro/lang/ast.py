@@ -14,8 +14,8 @@ Every node carries:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Optional, Union, get_args, get_type_hints
 
 from .errors import SourceSpan, UNKNOWN_SPAN
 from .time_units import TimeLiteral
@@ -29,25 +29,38 @@ class Node:
     nid: int = field(default_factory=lambda: next(_nid_counter),
                      kw_only=True, compare=False)
 
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes, in source order."""
-        for value in vars(self).values():
+    #: names of the fields that can hold child nodes (a node, ``None`` or
+    #: a list of nodes), in field order; bound per class at import by
+    #: :func:`_bind_child_fields` from the field annotations
+    _child_fields = ()
+
+    def children(self) -> list["Node"]:
+        """Direct child nodes, in source order.
+
+        Only the class's ``_child_fields`` are read: spans, nids, names
+        and numbers are never looked at."""
+        out = []
+        for name in self._child_fields:
+            value = getattr(self, name)
             if isinstance(value, Node):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
-                    elif isinstance(item, tuple):
-                        for sub in item:
-                            if isinstance(sub, Node):
-                                yield sub
+                out.append(value)
+            elif isinstance(value, list):
+                out.extend(value)
+        return out
 
     def walk(self) -> Iterator["Node"]:
-        """Pre-order traversal of the subtree rooted at this node."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Pre-order traversal of the subtree rooted at this node.
+
+        An explicit stack yields each node once, so a walk is linear in
+        the subtree's size whatever its depth; each node's children come
+        from :meth:`children`, read when the walk reaches the node."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            kids = node.children()
+            kids.reverse()
+            stack.extend(kids)
 
 
 # --------------------------------------------------------------------------
@@ -358,6 +371,26 @@ SETEXP_STMTS = (AwaitExt, AwaitInt, AwaitTime, AwaitExp,
 
 #: All await statement forms.
 AWAITS = (AwaitExt, AwaitInt, AwaitTime, AwaitExp, AwaitForever)
+
+
+def _holds_nodes(hint) -> bool:
+    """Whether a field annotation admits a node: ``Exp``,
+    ``Optional[Block]``, ``list[Stmt]``, ``SetExp``."""
+    args = get_args(hint)
+    if args:
+        return any(_holds_nodes(arg) for arg in args)
+    return isinstance(hint, type) and issubclass(hint, Node)
+
+
+def _bind_child_fields(cls: type) -> None:
+    hints = get_type_hints(cls)
+    cls._child_fields = tuple(f.name for f in fields(cls)
+                              if _holds_nodes(hints[f.name]))
+    for sub in cls.__subclasses__():
+        _bind_child_fields(sub)
+
+
+_bind_child_fields(Node)
 
 
 def renumber(root: Node) -> int:

@@ -12,10 +12,18 @@ Peculiarities relative to a generic C-family lexer:
   (the body is passed through to the C compiler untouched, §2.4);
 * character literals are NUM tokens carrying the character code, matching
   C semantics (the demos compare against ``'#'`` etc.).
+
+The scanner moves by slices, not characters: compiled regexes consume
+runs of blanks and ``//`` comments, identifier tails and digit runs, a
+block comment ends at the next ``*/`` found, symbols are a set lookup of
+two characters and then one, and :meth:`Lexer._advance` derives the line
+and column from the consumed slice.  Strings and ``C do … end`` bodies
+keep their character loops.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 from . import time_units
@@ -29,6 +37,14 @@ _ESCAPES = {
 #: decimal digits: ASCII only (``str.isdigit`` also accepts ``²`` and
 #: other Unicode digits that ``int`` then refuses or reinterprets)
 _DIGITS = frozenset("0123456789")
+#: blanks and ``//`` comments (a ``/*`` comment is recorded, so it is not
+#: part of the run)
+_TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
+#: the rest of a word: for ``str`` patterns ``\w`` is exactly
+#: ``str.isalnum()`` or ``_``
+_WORD = re.compile(r"\w*")
+_DEC_RUN = re.compile(r"[0-9]*")
+_HEX_RUN = re.compile(r"[0-9a-fA-F]*")
 
 
 class Lexer:
@@ -54,12 +70,12 @@ class Lexer:
 
     def _advance(self, n: int = 1) -> str:
         text = self.src[self.pos:self.pos + n]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
+        newlines = text.count("\n")
+        if newlines:
+            self.line += newlines
+            self.col = len(text) - text.rindex("\n")
+        else:
+            self.col += len(text)
         self.pos += n
         return text
 
@@ -75,27 +91,21 @@ class Lexer:
 
     # ------------------------------------------------------------ skipping
     def _skip_trivia(self) -> None:
-        while self.pos < len(self.src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._pos()
-                self._advance(2)
-                while self.pos < len(self.src):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        self.comments.append(self._span(start))
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment",
-                                   self._span(start))
-            else:
+        src = self.src
+        while True:
+            end = _TRIVIA.match(src, self.pos).end()
+            if end > self.pos:
+                self._advance(end - self.pos)
+            if not src.startswith("/*", self.pos):
                 return
+            start = self._pos()
+            close = src.find("*/", self.pos + 2)
+            if close < 0:
+                self._advance(len(src) - self.pos)
+                raise LexError("unterminated block comment",
+                               self._span(start))
+            self._advance(close + 2 - self.pos)
+            self.comments.append(self._span(start))
 
     # ------------------------------------------------------------ scanners
     def _scan_number_or_time(self) -> Token:
@@ -145,16 +155,16 @@ class Lexer:
 
     def _scan_int(self) -> int:
         start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
+        if self.src.startswith(("0x", "0X"), start):
             self._advance(2)
-            while (ch := self._peek()) and ch in "0123456789abcdefABCDEF":
-                self._advance()
-            if self.pos == start + 2:
+            end = _HEX_RUN.match(self.src, self.pos).end()
+            if end == self.pos:
                 raise self._error("malformed hex literal")
-            return int(self.src[start:self.pos], 16)
-        while self._peek() in _DIGITS:
-            self._advance()
-        return int(self.src[start:self.pos])
+            self._advance(end - self.pos)
+            return int(self.src[start:end], 16)
+        end = _DEC_RUN.match(self.src, start).end()
+        self._advance(end - start)
+        return int(self.src[start:end])
 
     def _scan_string(self) -> Token:
         start = self._pos()
@@ -186,9 +196,7 @@ class Lexer:
 
     def _scan_word(self) -> Token:
         start = self._pos()
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        word = self.src[start.offset:self.pos]
+        word = self._advance(_WORD.match(self.src, self.pos).end() - self.pos)
         if word == "par" and self._peek() == "/":
             # composite keywords par/or and par/and
             save = (self.pos, self.line, self.col)
@@ -273,11 +281,13 @@ class Lexer:
 
     def _scan_symbol(self) -> Token:
         start = self._pos()
-        for sym in SYMBOLS:
-            if self.src.startswith(sym, self.pos):
-                self._advance(len(sym))
-                return Token(TokKind.SYM, sym, self._span(start))
-        raise self._error(f"unexpected character {self._peek()!r}")
+        sym = self.src[self.pos:self.pos + 2]     # maximal munch: two chars,
+        if sym not in SYMBOLS:                    # then one
+            sym = sym[:1]
+            if sym not in SYMBOLS:
+                raise self._error(f"unexpected character {sym!r}")
+        self._advance(len(sym))
+        return Token(TokKind.SYM, sym, self._span(start))
 
     # ---------------------------------------------------------------- API
     def tokens(self) -> Iterator[Token]:
@@ -288,7 +298,7 @@ class Lexer:
                             SourceSpan.point(self.line, self.col, self.pos,
                                              self.filename))
                 return
-            ch = self._peek()
+            ch = self.src[self.pos]
             if ch in _DIGITS:
                 yield self._scan_number_or_time()
             elif ch in "\"'":

@@ -32,12 +32,13 @@ KEYWORDS: frozenset[str] = frozenset({
     "null", "nothing", "par", "par/or", "par/and", "output",
 })
 
-#: Multi-character symbols, longest first so maximal-munch scanning works.
-SYMBOLS: tuple[str, ...] = (
+#: Operator and punctuation symbols, none longer than two characters:
+#: the lexer looks up two characters, then one (maximal munch).
+SYMBOLS: frozenset[str] = frozenset({
     "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "->",
     "+", "-", "*", "/", "%", "(", ")", "[", "]", "{", "}",
     ",", ";", "=", "<", ">", "!", "&", "|", "^", "~", ".", "?", ":",
-)
+})
 
 
 @dataclass(frozen=True, slots=True)

@@ -588,32 +588,34 @@ def write_postmortem(path, checkpoint: Checkpoint, *, reason: str,
     return final
 
 
+#: the sidecar files a bundle may list, decoded when it is loaded
+_SIDECARS = ("flightrecorder.jsonl", "slice.txt", "fleet.json")
+
+
 class PostmortemBundle:
-    """A verified, loaded postmortem bundle."""
+    """A verified, loaded postmortem bundle; ``sidecars`` maps each
+    listed sidecar to its decoded content (text, or the fleet dict)."""
 
     def __init__(self, path: Path, manifest: dict,
-                 checkpoint: Checkpoint):
+                 checkpoint: Checkpoint, sidecars: dict):
         self.path = path
         self.manifest = manifest
         self.checkpoint = checkpoint
+        self.sidecars = sidecars
 
     @property
     def reason(self) -> str:
         return self.manifest.get("reason", "unknown")
 
     def recorder_lines(self) -> list[str]:
-        p = self.path / "flightrecorder.jsonl"
-        if not p.exists():
-            return []
-        return [ln for ln in p.read_text().splitlines() if ln]
+        text = self.sidecars.get("flightrecorder.jsonl", "")
+        return [ln for ln in text.splitlines() if ln]
 
     def slice_text(self) -> Optional[str]:
-        p = self.path / "slice.txt"
-        return p.read_text() if p.exists() else None
+        return self.sidecars.get("slice.txt")
 
     def fleet(self) -> Optional[dict]:
-        p = self.path / "fleet.json"
-        return json.loads(p.read_text()) if p.exists() else None
+        return self.sidecars.get("fleet.json")
 
     def describe(self) -> str:
         m = self.manifest
@@ -626,38 +628,90 @@ class PostmortemBundle:
                 f"file(s)")
 
 
-def load_postmortem(path) -> PostmortemBundle:
-    """Open and verify a bundle: manifest present, every listed file
-    present with a matching SHA-256, checkpoint parsable."""
-    root = Path(path)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise CheckpointError(
-            f"{root} is not a postmortem bundle (no {MANIFEST_NAME})")
-    manifest = json.loads(manifest_path.read_text())
+def _read_manifest(root: Path) -> dict:
+    """Parse ``root``'s manifest and refuse, naming the field, any shape
+    the readers would trip over: not a JSON object, a foreign format or
+    version, ``files`` or ``boundary`` not an object, ``files`` without
+    the checkpoint, a ``files`` entry not an object, or a file name that
+    is not a plain name inside the bundle."""
+    try:
+        manifest = json.loads((root / MANIFEST_NAME).read_text("utf-8"))
+    except (ValueError, RecursionError) as err:
+        raise CheckpointError(f"{root}: {MANIFEST_NAME} is not JSON "
+                              f"({err})") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{root}: {MANIFEST_NAME} is not a JSON "
+                              f"object")
     if manifest.get("format") != POSTMORTEM_FORMAT:
         raise CheckpointError(f"{root}: unknown manifest format "
                               f"{manifest.get('format')!r}")
     if manifest.get("version") != POSTMORTEM_VERSION:
         raise CheckpointError(f"{root}: unsupported bundle version "
                               f"{manifest.get('version')!r}")
-    for name, meta in manifest.get("files", {}).items():
+    for key in ("files", "boundary"):
+        if not isinstance(manifest.get(key, {}), dict):
+            raise CheckpointError(f"{root}: manifest field {key!r} is not "
+                                  f"an object")
+    if CHECKPOINT_NAME not in manifest.get("files", {}):
+        raise CheckpointError(f"{root}: manifest field 'files' does not "
+                              f"list {CHECKPOINT_NAME}")
+    for name, meta in manifest["files"].items():
+        if name in ("", "..") or Path(name).name != name:
+            raise CheckpointError(f"{root}: manifest field 'files' names "
+                                  f"{name!r}, not a file of the bundle")
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{root}: manifest field "
+                                  f"files[{name!r}] is not an object")
+    return manifest
+
+
+def _decode_sidecar(root: Path, name: str, data: bytes):
+    try:
+        text = data.decode("utf-8")
+        if name != "fleet.json":
+            return text
+        fleet = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise CheckpointError(f"{root}: {name} is unreadable "
+                              f"({err})") from None
+    if not isinstance(fleet, dict):
+        raise CheckpointError(f"{root}: fleet.json is not a JSON object")
+    return fleet
+
+
+def load_postmortem(path) -> PostmortemBundle:
+    """Open and verify a bundle: manifest present and well formed, every
+    listed file present with a matching SHA-256, every listed sidecar
+    decodable, the listed checkpoint parsable.  Each problem is a
+    :class:`CheckpointError` naming the file or field."""
+    root = Path(path)
+    if not (root / MANIFEST_NAME).exists():
+        raise CheckpointError(
+            f"{root} is not a postmortem bundle (no {MANIFEST_NAME})")
+    manifest = _read_manifest(root)
+    sidecars = {}
+    for name, meta in manifest["files"].items():
         fp = root / name
         if not fp.exists():
             raise CheckpointError(f"{root}: manifest lists {name} but "
                                   f"it is missing — partial bundle?")
-        got = _sha256(fp.read_bytes())
+        data = fp.read_bytes()
+        got = _sha256(data)
         if got != meta.get("sha256"):
             raise CheckpointError(f"{root}: {name} is corrupt "
                                   f"(sha256 {got[:12]}… != manifest "
                                   f"{str(meta.get('sha256'))[:12]}…)")
-    ckpt = Checkpoint.load(root / CHECKPOINT_NAME)
-    return PostmortemBundle(root, manifest, ckpt)
+        if name == CHECKPOINT_NAME:
+            ckpt = Checkpoint.from_bytes(data)
+        elif name in _SIDECARS:
+            sidecars[name] = _decode_sidecar(root, name, data)
+    return PostmortemBundle(root, manifest, ckpt, sidecars)
 
 
 def list_postmortems(directory) -> list[dict]:
     """Manifests of every complete bundle under ``directory`` (sorted by
-    name); staging/partial directories are invisible by construction."""
+    name); staging/partial directories are invisible by construction,
+    and an unreadable or malformed manifest is skipped."""
     root = Path(directory)
     if not root.is_dir():
         return []
@@ -667,8 +721,8 @@ def list_postmortems(directory) -> list[dict]:
         if entry.name.startswith(".") or not manifest.is_file():
             continue
         try:
-            m = json.loads(manifest.read_text())
-        except (OSError, json.JSONDecodeError):
+            m = _read_manifest(entry)
+        except (OSError, ValueError):     # CheckpointError included
             continue
         m["bundle"] = entry.name
         out.append(m)

@@ -21,6 +21,7 @@ The load-bearing properties:
   its canonical bytes (pinned by 900 seeded byte mutants).
 """
 
+import hashlib
 import json
 import os
 import random
@@ -456,6 +457,60 @@ def _bundle(tmp_path, name="acc-i0-r2", **kw):
     return write_postmortem(tmp_path / name, ck, **kw)
 
 
+def _sidecar(name: str, data: bytes):
+    """Replace sidecar ``name`` with ``data`` and list its true SHA-256,
+    so only decoding can refuse it."""
+    def edit(root, manifest):
+        (root / name).write_bytes(data)
+        manifest["files"][name] = {
+            "sha256": hashlib.sha256(data).hexdigest()}
+        return manifest
+    return edit
+
+
+def _outside(root, manifest):
+    """List a file of a sibling directory, with its true SHA-256."""
+    (root.parent / "other").mkdir()
+    (root.parent / "other" / "MANIFEST.json").write_text("{}")
+    manifest["files"]["../other/MANIFEST.json"] = {
+        "sha256": hashlib.sha256(b"{}").hexdigest()}
+    return manifest
+
+
+#: manifest edits load_postmortem must refuse, and the words naming why
+MALFORMED = {
+    "manifest-list": (lambda root, m: [m], "MANIFEST.json is not a JSON"),
+    "manifest-string": (lambda root, m: "x", "MANIFEST.json is not a JSON"),
+    "files-list": (lambda root, m: {**m, "files": list(m["files"])},
+                   "field 'files' is not an object"),
+    "file-entry-string": (
+        lambda root, m: {**m, "files": {**m["files"], "slice.txt": "x"}},
+        r"field files\['slice.txt'\] is not an object"),
+    "boundary-string": (lambda root, m: {**m, "boundary": "r2"},
+                        "field 'boundary' is not an object"),
+    "checkpoint-unlisted": (
+        lambda root, m: {**m, "files": {k: v for k, v in m["files"].items()
+                                        if k != "checkpoint.json"}},
+        "does not list checkpoint.json"),
+    "name-outside-bundle": (_outside, "not a file of the bundle"),
+    "fleet-unparsable": (_sidecar("fleet.json", b"{"),
+                         "fleet.json is unreadable"),
+    "fleet-not-an-object": (_sidecar("fleet.json", b"[1]"),
+                            "fleet.json is not a JSON object"),
+    "fleet-too-deep": (_sidecar("fleet.json", b"[" * 100_000),
+                       "fleet.json is unreadable"),
+    "recorder-not-utf8": (_sidecar("flightrecorder.jsonl", b"\xff\n"),
+                          "flightrecorder.jsonl is unreadable"),
+    "slice-not-utf8": (_sidecar("slice.txt", b"\xc3("),
+                       "slice.txt is unreadable"),
+}
+
+
+def _edit_manifest(path: Path, edit) -> None:
+    manifest = json.loads((path / "MANIFEST.json").read_text())
+    (path / "MANIFEST.json").write_text(json.dumps(edit(path, manifest)))
+
+
 class TestPostmortemBundles:
     def test_write_load_round_trip(self, tmp_path):
         path = _bundle(tmp_path)
@@ -489,6 +544,36 @@ class TestPostmortemBundles:
         (tmp_path / "junk").mkdir()
         with pytest.raises(CheckpointError, match="MANIFEST"):
             load_postmortem(tmp_path / "junk")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_bundle_is_one_line_naming_the_field(
+            self, tmp_path, capsys, case):
+        from repro.cli import main
+
+        edit, words = MALFORMED[case]
+        path = _bundle(tmp_path)
+        _edit_manifest(path, edit)
+        with pytest.raises(CheckpointError, match=words):
+            load_postmortem(path)
+        assert main(["postmortem", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+    def test_listing_skips_malformed_manifests(self, tmp_path, capsys):
+        from repro.cli import main
+
+        _bundle(tmp_path)
+        for case in ("manifest-list", "manifest-string", "boundary-string"):
+            _edit_manifest(_bundle(tmp_path, name=case), MALFORMED[case][0])
+        for name, data in (("binary", b"\xff{}"), ("deep", b"[" * 100_000)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "MANIFEST.json").write_bytes(data)
+            with pytest.raises(CheckpointError, match="is not JSON"):
+                load_postmortem(tmp_path / name)
+        assert [m["bundle"] for m in list_postmortems(tmp_path)] == [
+            "acc-i0-r2"]
+        assert main(["postmortem", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("acc-i0-r2: [stuck]")
 
     def test_listing_skips_partials_and_noise(self, tmp_path):
         _bundle(tmp_path)

@@ -73,6 +73,33 @@ def test_literal_edit_is_contained():
     assert an.stats["regions_reused"] >= 1     # the par survived
 
 
+def test_literal_edit_leaves_its_bounds_in_the_memo(monkeypatch):
+    """A literal edit replays the DFA but recomputes the bounds (array
+    sizes are literals); those bounds and the edited text become the
+    memo, so a later comment edit only rebases them."""
+    from repro.analysis import incremental
+
+    source = COUNTER.replace("int v = 0;\n", "int v = 0;\nint[4] keys;\n")
+    bumped = source.replace("int[4]", "int[9]")
+    lines = bumped.splitlines(keepends=True)
+    commented = "".join(lines[:3] + ["// a comment\n"] + lines[3:])
+    an = IncrementalAnalyzer()
+    check(an, source)
+    check(an, bumped)
+    assert (an.stats["dfa_replays"], an.stats["bounds_replays"]) == (1, 1)
+    calls = []
+    for name in ("compute_trail_bounds", "build_layout"):
+        def counted(*args, _real=getattr(incremental, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(incremental, name, counted)
+    report = an.analyze(commented)
+    monkeypatch.undo()
+    assert calls == []
+    assert report.to_json() == cold(commented)
+    assert (an.stats["dfa_replays"], an.stats["bounds_replays"]) == (2, 2)
+
+
 def test_statement_edit_descends_into_compound():
     an = IncrementalAnalyzer()
     check(an, COUNTER)

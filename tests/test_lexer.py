@@ -1,9 +1,16 @@
 """Lexer unit tests: identifier classes, TIME literals, C blocks, errors."""
 
+import bisect
+import random
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.fuzz.gen import PROFILES, generate_case
 from repro.lang.errors import LexError
-from repro.lang.lexer import tokenize
+from repro.lang.lexer import Lexer, tokenize
 from repro.lang.time_units import TimeLiteral, from_components, us_to_text
 from repro.lang.tokens import TokKind
 
@@ -195,3 +202,78 @@ class TestSymbols:
     def test_unexpected_character(self):
         with pytest.raises(LexError):
             tokenize("a $ b")
+
+
+# ------------------------------------------------------------ invariants
+ROOT = Path(__file__).parent.parent
+#: snippets the byte mutator splices in, so mutants reach every scanner
+SNIPPETS = [b"/*", b"*/", b"/* c */", b"/*\n x\n*/", b"//", b"\n", b"\r\n",
+            b"\t", b'"', b"'", b"\\", b"C do x; end", b"0x", b"1h35min",
+            b"par/", b"par/or", b"_", b"->", b"<<", "\u00b2".encode(),
+            "\u00e9".encode(), b"$"]
+
+
+def _mutant(rng: random.Random, data: bytes) -> str:
+    """Truncate, flip a bit, overwrite 1-15 bytes or splice a snippet;
+    decode as Latin-1 or as UTF-8 with replacement characters."""
+    out = bytearray(data)
+    op = rng.randrange(4)
+    if op == 0:
+        del out[rng.randrange(len(out) + 1):]
+    elif op == 1 and out:
+        out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+    elif op == 2:
+        n = rng.randint(1, 15)
+        at = rng.randrange(max(1, len(out) - n + 1))
+        out[at:at + n] = bytes(rng.randrange(256) for _ in range(n))
+    else:
+        at = rng.randrange(len(out) + 1)
+        out[at:at] = rng.choice(SNIPPETS)
+    return bytes(out).decode(rng.choice(("latin-1", "utf-8")), "replace")
+
+
+def _lexer_inputs() -> list[str]:
+    sources = [p.read_text() for d in ("tests/corpus", "examples/ceu",
+                                       "src/repro/apps/ceu")
+               for p in sorted((ROOT / d).glob("*.ceu"))]
+    sources += [generate_case(seed, PROFILES[name], name).src
+                for seed, name in enumerate(sorted(PROFILES) * 6)]
+    rng = random.Random(18)
+    mutants = [_mutant(rng, rng.choice(sources).encode())
+               for _ in range(600)]
+    return sources + mutants
+
+
+def test_spans_match_offsets_on_every_input():
+    """Every repo program, fuzz programs and byte mutants of both either
+    tokenize or raise LexError.  Outside ``C do`` bodies a token's text
+    is the source between its offsets, and its lines and columns are a
+    recount of those offsets."""
+    for src in _lexer_inputs():
+        starts = [0] + [i + 1 for i, ch in enumerate(src) if ch == "\n"]
+
+        def at(offset: int) -> tuple[int, int]:
+            line = bisect.bisect_right(starts, offset)
+            return line, offset - starts[line - 1] + 1
+
+        toks = []
+        try:
+            for tok in Lexer(src, "f.ceu").tokens():
+                toks.append(tok)
+        except LexError:
+            pass
+        for tok in toks:
+            if tok.kind is TokKind.C_CODE:
+                continue
+            start, end = tok.span.start, tok.span.end
+            assert src[start.offset:end.offset] == tok.text
+            assert (start.line, start.col) == at(start.offset)
+            assert (end.line, end.col) == at(end.offset)
+
+
+def test_word_class_is_isalnum_or_underscore():
+    """The lexer matches identifier tails with ``\\w``; for ``str``
+    patterns that is exactly ``str.isalnum()`` or ``_``."""
+    word = re.compile(r"\w")
+    assert [ch for ch in map(chr, range(sys.maxunicode + 1))
+            if bool(word.match(ch)) != (ch.isalnum() or ch == "_")] == []

@@ -370,6 +370,18 @@ class TestCheckpointPlane:
         assert listing["postmortems"][0]["reason"] == "manual"
         assert listing["postmortems"][0]["bundle"].startswith("tick-i0")
 
+    def test_postmortems_endpoint_skips_malformed_manifests(self,
+                                                            ckpt_served):
+        server, farm, _ = ckpt_served
+        farm.postmortem(0, reason="manual")
+        junk = farm.postmortem_dir / "junk"
+        junk.mkdir()
+        (junk / "MANIFEST.json").write_text("[]")
+        code, body, _ = _get(server.address + "/postmortems")
+        assert code == 200
+        listing = json.loads(body)
+        assert [m["reason"] for m in listing["postmortems"]] == ["manual"]
+
     def test_postmortems_without_provider_404s(self, served):
         server, _, _ = served
         code, body, _ = _get(server.address + "/postmortems")
