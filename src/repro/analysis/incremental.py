@@ -1,10 +1,9 @@
 """Incremental analysis engine: keystroke-latency re-lint.
 
 :class:`IncrementalAnalyzer` keeps the full pipeline's products —
-tokens → AST → ``BoundProgram`` → DFA → diagnostics — cached per
-**top-level region**, with a recursive *entry tree* inside each region
-that mirrors the block structure of the statements, and splices only
-the damaged parts on every edit.
+tokens → AST → ``BoundProgram`` → DFA → diagnostics — cached on a
+*statement tree* that mirrors the block structure of the program, and
+splices only the damaged parts on every edit.
 
 The contract is mechanical: ``analyze(source)`` returns a
 :class:`~repro.analysis.diagnostics.Report` that is **byte-identical**
@@ -16,32 +15,39 @@ paths are a pure optimisation.
 How an edit is processed
 ========================
 
-1. The old and new sources are diffed at **line** granularity
-   (``difflib.SequenceMatcher``).  A region whose whole line extent
-   lands inside one equal block *survives*: its AST, token signature and
-   memoized diagnostics are kept, with every span shifted by a constant
-   ``(dline, doffset)``.
-2. A damaged region is repaired through its entry tree: each top-level
-   statement is an entry carrying its own line extent, token signature,
+1. The old and new sources are cut into ``\\n``-delimited lines (the
+   lexer's line model) and diffed at line granularity
+   (``difflib.SequenceMatcher``).
+2. One algorithm repairs every block, starting with the program body,
+   whose window is the whole new file.  Each statement of a block is an
+   entry carrying its own comment-closed line extent, token signature,
    and — for compound statements — a *template* of literal token runs
-   interleaved with child blocks, each block holding entries for its own
-   statements, recursively.  Recovery keeps every entry whose extent
-   survived the diff, **descends** into compound entries whose frame
+   interleaved with child blocks, each block holding entries for its
+   own statements, recursively.  Statements whose extents overlap (two
+   on one line, a block comment joining them) form a *group*, kept or
+   re-parsed as a unit.  A group whose whole extent lands inside one
+   equal block of the diff *survives*: its ASTs, signatures and memos
+   are kept, with every span shifted by a constant ``(dline,
+   doffset)``.  A damaged group of one compound statement whose frame
    lines (the literal runs: ``loop``/``if``/``par`` headers, ``with``,
-   ``else``, ``end``) all survived and repairs only the damaged child
-   block, and re-lexes/re-parses just the remaining gap lines
-   standalone.  A mid-file keystroke inside a 200-line ``loop`` thus
-   re-parses a handful of lines, not the loop.
-3. Region extents are closed over multi-line block comments (a comment
-   never straddles a region boundary), which makes standalone parsing
-   of any gap equivalent to the full lex; any parse failure abandons
-   the repair at that level (entry → region → whole file → cold run).
+   ``else``, ``end``) all survived is **descended** into: each child
+   block is repaired the same way within its own window, the lines
+   strictly between the frame's.  The remaining gap lines are re-lexed
+   and re-parsed standalone.  A mid-file keystroke inside a 200-line
+   ``loop`` thus re-parses a handful of lines, not the loop.
+3. Extents are closed over multi-line block comments (a comment never
+   straddles a group boundary), which makes standalone parsing of any
+   gap equivalent to the full lex.  A parse failure, or a damaged group
+   that shares a line with the frame (``with loop do``), abandons the
+   repair at that level (block → enclosing block → … → program body →
+   cold run).
 4. The spliced program is re-numbered (pre-order ``nid``s), re-bound,
-   and the bounded/liveness passes run over per-region memos: a region
-   whose content and binder-visible environment signature (exports of
-   all preceding regions, :func:`repro.sema.symbols
+   and the bounded/liveness passes run over per-statement memos on the
+   body's entries: a top-level statement whose content and
+   binder-visible environment signature (exports of all preceding
+   top-level statements, :func:`repro.sema.symbols
    .declaration_signature`) are unchanged replays its memoized
-   diagnostics; damaged regions and their dependents recompute.
+   diagnostics; damaged statements and their dependents recompute.
 5. The whole-program DFA passes re-run only when the program's token
    signature actually changed: on an identical token stream (an edit to
    comments/whitespace) every DFA-derived diagnostic — conflicts with
@@ -63,7 +69,7 @@ from typing import Optional
 from ..dfa.actions import Conflict
 from ..lang import ast
 from ..lang.errors import CeuError, SourcePos, SourceSpan
-from ..lang.lexer import Lexer
+from ..lang.lexer import Lexer, split_lines
 from ..lang.parser import Parser
 from ..lang.rebase import shift_span, shift_subtree
 from ..lang.tokens import TokKind, Token
@@ -75,6 +81,12 @@ from .bounds import ResourceBounds, compute_trail_bounds
 from .diagnostics import Diagnostic, Report
 from .engine import dfa_stage, front_end_error
 from .passes import _CollectingSink, bounds_pass, liveness_pass
+
+#: ``stats`` keys counting a group that was kept, repaired inside, or
+#: re-parsed: in the program body (a top-level group is what the keys
+#: call a region) and in the blocks of compound statements
+_TOP_KEYS = ("regions_reused", "regions_recovered", "regions_reparsed")
+_NESTED_KEYS = ("entries_reused", "descents", "entries_reparsed")
 
 
 class _Fallback(Exception):
@@ -119,6 +131,15 @@ def _close_extent(lo: int, hi: int,
     return lo, hi
 
 
+def _line_starts(lines: list[str]) -> list[int]:
+    """Offset of each 1-based line (``[0]`` unused; one past the last
+    line is the length of the text)."""
+    starts = [0, 0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+    return starts
+
+
 def _copy_diag(diag: Diagnostic) -> Diagnostic:
     return Diagnostic(code=diag.code, message=diag.message, span=diag.span,
                       notes=list(diag.notes), witness=diag.witness,
@@ -147,32 +168,16 @@ class _Entry:
     masked: tuple
     template: Optional[list] = None
     blocks: list = field(default_factory=list)
+    #: top-level statements only: the §2.5 memo ``(env_sig, outcomes,
+    #: [Diagnostic], tight_count)``, valid while the statement and the
+    #: exports of every statement before it are unchanged
+    bounded: Optional[tuple] = None
 
 
 @dataclass
 class _BlockNode:
     block: ast.Block
     entries: list[_Entry]
-
-
-@dataclass
-class _Region:
-    """One cached top-level region: a maximal run of top-level
-    statements whose (comment-closed) line extents overlap."""
-
-    entries: list[_Entry]
-    lo: int                            # 1-based line extent, inclusive
-    hi: int
-    raw: tuple                         # token signature of the extent
-    masked: tuple
-    exports: tuple = ()                # declaration signatures, in order
-    env_sig: Optional[tuple] = None    # env the bounded memo was keyed on
-    #: per-statement bounded memo: (outcomes, [Diagnostic], tight_count)
-    bounded: Optional[list] = None
-
-    @property
-    def stmts(self) -> list[ast.Stmt]:
-        return [entry.stmt for entry in self.entries]
 
 
 @dataclass
@@ -197,6 +202,21 @@ class _DfaMemo:
     @property
     def had_conflicts(self) -> bool:
         return bool(self.conflicts)
+
+
+def _groups(entries: list[_Entry]) -> list[list]:
+    """A block's entries as ``[lo, hi, [entry, ...]]`` runs whose
+    comment-closed extents overlap: the statements of a run share lines,
+    so a run is kept or re-parsed as a unit.  Extents start in statement
+    order, so one pass finds every run."""
+    groups: list[list] = []
+    for entry in entries:
+        if groups and entry.lo <= groups[-1][1]:
+            groups[-1][1] = max(groups[-1][1], entry.hi)
+            groups[-1][2].append(entry)
+        else:
+            groups.append([entry.lo, entry.hi, [entry]])
+    return groups
 
 
 class IncrementalAnalyzer:
@@ -231,7 +251,7 @@ class IncrementalAnalyzer:
         self._lines: list[str] = []
         self._line_starts: list[int] = []          # 1-based, [0] unused
         self._program: Optional[ast.Program] = None
-        self._regions: list[_Region] = []
+        self._body: Optional[_BlockNode] = None
         self._dfa_memo: Optional[_DfaMemo] = None
         #: the :class:`~repro.sema.binder.BoundProgram` of the last
         #: successful bind, or ``None`` after a front-end error — the LSP
@@ -259,34 +279,43 @@ class IncrementalAnalyzer:
         self._struct_dirty = True
         report = Report(filename=self.filename)
         try:
-            lexer = Lexer(source, self.filename)
-            toks = list(lexer.tokens())
-            parser = Parser(source, self.filename, tokens=toks,
-                            track_extents=True)
-            program = parser.parse_program()
+            program, entries = self._parse(source)
         except CeuError as err:
             front_end_error(report, err)
             self._source = source
             self.last_bound = None
             return report
-        regions = self._regions_from_parse(parser, toks,
-                                           _comment_ranges(lexer))
-        self._install(source, program, regions)
+        self._program = program
+        self._body = _BlockNode(program.body, entries)
+        lines = split_lines(source)
+        self._install(source, lines, _line_starts(lines))
         return self._pipeline(report)
 
-    def _install(self, source: str, program: ast.Program,
-                 regions: list[_Region]) -> None:
+    def _install(self, source: str, lines: list[str],
+                 starts: list[int]) -> None:
         self._source = source
-        self._lines = source.splitlines(keepends=True)
-        starts = [0, 0]
-        for line in self._lines:
-            starts.append(starts[-1] + len(line))
+        self._lines = lines
         self._line_starts = starts
-        self._program = program
-        self._regions = regions
         self._primed = True
 
     # ------------------------------------------------------- entry build
+    def _parse(self, text: str) -> tuple[ast.Program, list[_Entry]]:
+        """Lex and parse ``text`` on its own, and build the entries of
+        its body (raises :class:`CeuError`)."""
+        lexer = Lexer(text, self.filename)
+        toks = list(lexer.tokens())
+        parser = Parser(text, self.filename, tokens=toks,
+                        track_extents=True)
+        program = parser.parse_program()
+        return program, self._build_entries(program.body, toks, parser,
+                                            _comment_ranges(lexer))
+
+    def _build_entries(self, block: ast.Block, toks: list[Token],
+                       parser: Parser, comments: list[tuple[int, int]]
+                       ) -> list[_Entry]:
+        return [self._build_entry(stmt, s, e, toks, parser, comments)
+                for stmt, s, e in parser.block_marks[id(block)]]
+
     def _build_entry(self, stmt: ast.Stmt, s: int, e: int,
                      toks: list[Token], parser: Parser,
                      comments: list[tuple[int, int]]) -> _Entry:
@@ -313,9 +342,8 @@ class IncrementalAnalyzer:
                 continue               # nested inside the previous block
             template.append(self._lit_seg(toks, pos, bs))
             template.append(["blk", len(blocks)])
-            blocks.append(_BlockNode(block=blk, entries=[
-                self._build_entry(st, ms, me, toks, parser, comments)
-                for st, ms, me in parser.block_marks.get(id(blk), [])]))
+            blocks.append(_BlockNode(blk, self._build_entries(
+                blk, toks, parser, comments)))
             pos = be
         template.append(self._lit_seg(toks, pos, e))
         entry.template = template
@@ -347,122 +375,23 @@ class IncrementalAnalyzer:
         entry.raw = tuple(raw)
         entry.masked = tuple(masked)
 
-    # ------------------------------------------------------ region build
-    def _regions_from_parse(self, parser: Parser, toks: list[Token],
-                            comments: list[tuple[int, int]]
-                            ) -> list[_Region]:
-        groups: list[list] = []        # [lo, hi, [entry, ...]]
-        for stmt, s, e in parser.toplevel_marks:
-            entry = self._build_entry(stmt, s, e, toks, parser, comments)
-            if groups and entry.lo <= groups[-1][1]:
-                groups[-1][1] = max(groups[-1][1], entry.hi)
-                groups[-1][2].append(entry)
-            else:
-                groups.append([entry.lo, entry.hi, [entry]])
-        # comment closure can make a later extent reach back over an
-        # earlier group's lines; merge until stable
-        merged = True
-        while merged:
-            merged = False
-            out: list[list] = []
-            for g in groups:
-                if out and g[0] <= out[-1][1]:
-                    out[-1][1] = max(out[-1][1], g[1])
-                    out[-1][2].extend(g[2])
-                    merged = True
-                else:
-                    out.append(g)
-            groups = out
-        regions = []
-        for lo, hi, entries in groups:
-            regions.append(_Region(
-                entries=entries, lo=lo, hi=hi,
-                raw=tuple(v for en in entries for v in en.raw),
-                masked=tuple(v for en in entries for v in en.masked),
-                exports=tuple(sig for en in entries
-                              if (sig := declaration_signature(en.stmt)))))
-        return regions
-
     # ------------------------------------------------------ splice path
     def _analyze_spliced(self, source: str) -> Report:
-        new_lines = source.splitlines(keepends=True)
+        new_lines = split_lines(source)
         matcher = difflib.SequenceMatcher(None, self._lines, new_lines,
                                           autojunk=False)
         line_map: dict[int, int] = {}
         for a, b, size in matcher.get_matching_blocks():
             for k in range(size):
                 line_map[a + k + 1] = b + k + 1
-        new_starts = [0, 0]
-        for line in new_lines:
-            new_starts.append(new_starts[-1] + len(line))
+        new_starts = _line_starts(new_lines)
 
         self._struct_dirty = False
-        kept: list[_Region] = []
-        old_ext = [(r.lo, r.hi) for r in self._regions]
-        for i, region in enumerate(self._regions):
-            if self._extent_survives(region.lo, region.hi, line_map):
-                dline = line_map[region.lo] - region.lo
-                doff = (new_starts[line_map[region.lo]]
-                        - self._line_starts[region.lo])
-                self._shift_region(region, dline, doff)
-                kept.append(region)
-                self.stats["regions_reused"] += 1
-                continue
-            # recovery window: the region's own endpoints when they
-            # survived, else bounded by the (old) neighbour regions'
-            # boundary lines — an edit on a region's first or last line
-            # must not disable repair of the rest of it
-            win_lo = line_map.get(region.lo)
-            if win_lo is None:
-                if i == 0:
-                    win_lo = 1
-                else:
-                    prev_hi = line_map.get(old_ext[i - 1][1])
-                    win_lo = None if prev_hi is None else prev_hi + 1
-            win_hi = line_map.get(region.hi)
-            if win_hi is None:
-                if i == len(self._regions) - 1:
-                    win_hi = len(new_lines)
-                else:
-                    next_lo = line_map.get(old_ext[i + 1][0])
-                    win_hi = None if next_lo is None else next_lo - 1
-            if (win_lo is not None and win_hi is not None
-                    and self._recover_region(region, win_lo, win_hi,
-                                             line_map, new_lines,
-                                             new_starts)):
-                kept.append(region)
-                self.stats["regions_recovered"] += 1
-            else:
-                # the region's new lines fall into a gap and reparse
-                self._struct_dirty = True
-
-        # gaps: new lines not covered by a kept region
-        covered: list[tuple[int, int]] = sorted(
-            (r.lo, r.hi) for r in kept)
-        for (alo, ahi), (blo, bhi) in zip(covered, covered[1:]):
-            if blo <= ahi:
-                raise _Fallback("kept regions overlap")
-        fresh: list[_Region] = []
-        cursor = 1
-        total = len(new_lines)
-        for lo, hi in covered + [(total + 1, total + 1)]:
-            if cursor < lo:
-                fresh.extend(self._parse_gap(cursor, min(lo - 1, total),
-                                             new_lines, new_starts))
-            cursor = hi + 1
-        regions = sorted(kept + fresh, key=lambda r: r.lo)
-        for prev, nxt in zip(regions, regions[1:]):
-            if nxt.lo <= prev.hi:
-                raise _Fallback("spliced regions overlap")
-        stmts = [stmt for region in regions for stmt in region.stmts]
-        if not stmts:
-            raise _Fallback("empty program")
-
-        program = self._program
-        program.body.stmts = stmts
-        program.body.span = stmts[0].span.merge(stmts[-1].span)
-        program.span = program.body.span
-        self._install(source, program, regions)
+        if not self._recover_block(self._body, 1, len(new_lines), line_map,
+                                   new_lines, new_starts, _TOP_KEYS):
+            raise _Fallback("the program body cannot be repaired")
+        self._program.span = self._program.body.span
+        self._install(source, new_lines, new_starts)
         return self._pipeline(Report(filename=self.filename))
 
     @staticmethod
@@ -474,35 +403,13 @@ class IncrementalAnalyzer:
         return all(line_map.get(l) == base + (l - lo)
                    for l in range(lo + 1, hi + 1))
 
-    def _parse_gap(self, lo: int, hi: int, new_lines: list[str],
-                   new_starts: list[int]) -> list[_Region]:
-        if lo > hi:
-            return []
-        text = "".join(new_lines[lo - 1:hi])
-        try:
-            lexer = Lexer(text, self.filename)
-            toks = list(lexer.tokens())
-            parser = Parser(text, self.filename, tokens=toks,
-                            track_extents=True)
-            parser.parse_program()
-        except CeuError:
-            raise _Fallback("gap does not parse standalone")
-        regions = self._regions_from_parse(parser, toks,
-                                           _comment_ranges(lexer))
-        if regions:
-            self._struct_dirty = True
-        for region in regions:
-            self._shift_region(region, lo - 1, new_starts[lo])
-            self.stats["regions_reparsed"] += 1
-        return regions
-
     # --------------------------------------------------------- shifting
     def _shift_entry(self, entry: _Entry, dline: int, doff: int,
                      shift_ast: bool = True) -> None:
-        """Move an entry (extents, template lines, recursively its
-        children) by a constant delta; ``shift_ast`` shifts the AST
-        subtree too — ``False`` for nested entries, whose nodes are
-        already covered by the parent's ``shift_subtree``."""
+        """Move an entry (extents, template lines, memoized diagnostics,
+        recursively its children) by a constant delta; ``shift_ast``
+        shifts the AST subtree too — ``False`` for nested entries, whose
+        nodes are already covered by the parent's ``shift_subtree``."""
         if dline == 0 and doff == 0:
             return
         if shift_ast:
@@ -517,21 +424,11 @@ class IncrementalAnalyzer:
         for bnode in entry.blocks:
             for child in bnode.entries:
                 self._shift_entry(child, dline, doff, shift_ast=False)
-
-    def _shift_region(self, region: _Region, dline: int,
-                      doff: int) -> None:
-        if dline == 0 and doff == 0:
-            return
-        region.lo += dline
-        region.hi += dline
-        for entry in region.entries:
-            self._shift_entry(entry, dline, doff)
-        if region.bounded is not None:
-            for _out, diags, _tight in region.bounded:
-                for diag in diags:
-                    diag.span = shift_span(diag.span, dline, doff)
-                    diag.notes = [(label, shift_span(span, dline, doff))
-                                  for label, span in diag.notes]
+        if entry.bounded is not None:
+            for diag in entry.bounded[2]:
+                diag.span = shift_span(diag.span, dline, doff)
+                diag.notes = [(label, shift_span(span, dline, doff))
+                              for label, span in diag.notes]
 
     def _map_span(self, span: SourceSpan, line_map: dict[int, int],
                   new_starts: list[int]) -> SourceSpan:
@@ -546,77 +443,56 @@ class IncrementalAnalyzer:
         return SourceSpan(mp(span.start), mp(span.end), span.filename)
 
     # ------------------------------------------------- damage recovery
-    def _recover_region(self, region: _Region, win_lo: int, win_hi: int,
-                        line_map: dict[int, int], new_lines: list[str],
-                        new_starts: list[int]) -> bool:
-        """Repair a damaged region through its entry tree.  On failure
-        the region is simply dropped (its lines re-parse as a gap);
-        partially-shifted state is unreachable afterwards."""
-        got = self._recover_entries(
-            region.entries, win_lo, win_hi,
-            line_map, new_lines, new_starts)
-        if not got:
-            return False
-        region.entries = got
-        region.lo = got[0].lo
-        region.hi = got[-1].hi
-        region.raw = tuple(v for en in got for v in en.raw)
-        region.masked = tuple(v for en in got for v in en.masked)
-        region.exports = tuple(sig for en in got
-                               if (sig := declaration_signature(en.stmt)))
-        region.bounded = None
-        region.env_sig = None
-        return True
-
-    def _recover_entries(self, entries: list[_Entry], win_lo: int,
-                         win_hi: int, line_map: dict[int, int],
-                         new_lines: list[str], new_starts: list[int]
-                         ) -> Optional[list[_Entry]]:
-        """Repair one block's entry list within its new line window
-        ``[win_lo, win_hi]``: shift survivors, descend into damaged
-        compound entries, re-parse the remaining gap lines.  Returns the
-        new entry list, or ``None`` when the damage cannot be contained
-        at this level."""
-        for a, b in zip(entries, entries[1:]):
-            if b.lo <= a.hi:
-                return None            # overlapping closures: punt
-        kept: list[_Entry] = []
-        for entry in entries:
-            if self._extent_survives(entry.lo, entry.hi, line_map):
-                dline = line_map[entry.lo] - entry.lo
-                doff = (new_starts[line_map[entry.lo]]
-                        - self._line_starts[entry.lo])
-                self._shift_entry(entry, dline, doff)
-                kept.append(entry)
-                self.stats["entries_reused"] += 1
-            elif self._descend(entry, line_map, new_lines, new_starts):
-                kept.append(entry)
-                self.stats["descents"] += 1
+    def _recover_block(self, bnode: _BlockNode, win_lo: int, win_hi: int,
+                       line_map: dict[int, int], new_lines: list[str],
+                       new_starts: list[int], keys: tuple) -> bool:
+        """Repair one block within its new line window ``[win_lo,
+        win_hi]``: shift the groups that survived, descend into a
+        damaged group of one compound statement, re-parse the remaining
+        gap lines.  ``keys`` names the ``stats`` counters of the level.
+        Returns ``False`` when the damage cannot be contained at this
+        level; the half-repaired entries are then unreachable."""
+        reused, repaired, reparsed = keys
+        kept: list[tuple] = []         # (lo, hi, entries) in the new text
+        for lo, hi, group in _groups(bnode.entries):
+            if self._extent_survives(lo, hi, line_map):
+                dline = line_map[lo] - lo
+                doff = new_starts[line_map[lo]] - self._line_starts[lo]
+                for entry in group:
+                    self._shift_entry(entry, dline, doff)
+                self.stats[reused] += 1
+            elif len(group) == 1 and self._descend(group[0], line_map,
+                                                   new_lines, new_starts):
+                self.stats[repaired] += 1
+            elif (line_map.get(lo, win_lo) < win_lo
+                  or line_map.get(hi, win_hi) > win_hi):
+                # it shares a line with the enclosing frame (`with loop
+                # do`, `x = 1; end`), outside the window: re-parsing the
+                # window would lose that part of it
+                return False
             else:
                 # dropped — its lines become part of a gap below
                 self._struct_dirty = True
-        covered = sorted((en.lo, en.hi) for en in kept)
-        if covered and (covered[0][0] < win_lo
-                        or covered[-1][1] > win_hi):
-            return None
-        for (alo, ahi), (blo, bhi) in zip(covered, covered[1:]):
-            if blo <= ahi:
-                return None
-        result = list(kept)
+                continue
+            kept.append((line_map[lo], line_map[hi], group))
+        entries: list[_Entry] = []
         cursor = win_lo
-        for lo, hi in covered + [(win_hi + 1, win_hi + 1)]:
+        for lo, hi, group in kept + [(win_hi + 1, win_hi, [])]:
             if cursor < lo:
-                got = self._parse_entry_gap(cursor, min(lo - 1, win_hi),
-                                            new_lines, new_starts)
+                got = self._parse_gap(cursor, lo - 1, new_lines,
+                                      new_starts)
                 if got is None:
-                    return None
-                result.extend(got)
+                    return False
+                self.stats[reparsed] += len(_groups(got))
+                entries.extend(got)
+            entries.extend(group)
             cursor = hi + 1
-        result.sort(key=lambda en: en.lo)
-        for a, b in zip(result, result[1:]):
-            if b.lo <= a.hi:
-                return None
-        return result
+        if not entries:
+            return False               # an empty block does not round-trip
+        bnode.entries = entries
+        bnode.block.stmts = [entry.stmt for entry in entries]
+        bnode.block.span = entries[0].stmt.span.merge(entries[-1].stmt.span)
+        return True
 
     def _descend(self, entry: _Entry, line_map: dict[int, int],
                  new_lines: list[str], new_starts: list[int]) -> bool:
@@ -624,7 +500,7 @@ class IncrementalAnalyzer:
         literal token runs between child blocks) survived: recover each
         child block within its own window, then rebase the frame nodes
         line by line."""
-        if entry.template is None or not entry.blocks:
+        if not entry.blocks:
             return False
         if entry.lo not in line_map or entry.hi not in line_map:
             return False
@@ -640,15 +516,11 @@ class IncrementalAnalyzer:
             nxt = entry.template[idx + 1]
             if prev[3] is None or nxt[3] is None:
                 return False           # no line to anchor the window on
-            bnode = entry.blocks[seg[1]]
-            got = self._recover_entries(
-                bnode.entries, line_map[prev[4]] + 1,
-                line_map[nxt[3]] - 1, line_map, new_lines, new_starts)
-            if not got:
-                return False           # empty blocks don't round-trip
-            bnode.entries = got
-            bnode.block.stmts = [en.stmt for en in got]
-            bnode.block.span = got[0].stmt.span.merge(got[-1].stmt.span)
+            if not self._recover_block(
+                    entry.blocks[seg[1]], line_map[prev[4]] + 1,
+                    line_map[nxt[3]] - 1, line_map, new_lines, new_starts,
+                    _NESTED_KEYS):
+                return False
         # frame nodes: everything in the statement's subtree that is not
         # inside a child block; their endpoint lines all survived, but
         # possibly with different deltas, so rebase per line.  The
@@ -680,31 +552,22 @@ class IncrementalAnalyzer:
                 seg[4] = line_map[seg[4]]
         entry.lo = line_map[entry.lo]
         entry.hi = line_map[entry.hi]
+        entry.bounded = None
         self._resig(entry)
         return True
 
-    def _parse_entry_gap(self, lo: int, hi: int, new_lines: list[str],
-                         new_starts: list[int]
-                         ) -> Optional[list[_Entry]]:
-        if lo > hi:
-            return []
-        text = "".join(new_lines[lo - 1:hi])
+    def _parse_gap(self, lo: int, hi: int, new_lines: list[str],
+                   new_starts: list[int]) -> Optional[list[_Entry]]:
+        """Entries of the new lines ``[lo, hi]`` parsed on their own, or
+        ``None`` when they do not parse."""
         try:
-            lexer = Lexer(text, self.filename)
-            toks = list(lexer.tokens())
-            parser = Parser(text, self.filename, tokens=toks,
-                            track_extents=True)
-            parser.parse_program()
+            _program, entries = self._parse("".join(new_lines[lo - 1:hi]))
         except CeuError:
             return None
-        comments = _comment_ranges(lexer)
-        entries = [self._build_entry(stmt, s, e, toks, parser, comments)
-                   for stmt, s, e in parser.toplevel_marks]
         if entries:
             self._struct_dirty = True
         for entry in entries:
             self._shift_entry(entry, lo - 1, new_starts[lo])
-            self.stats["entries_reparsed"] += 1
         return entries
 
     # ---------------------------------------------------------- pipeline
@@ -740,13 +603,14 @@ class IncrementalAnalyzer:
             self.last_bound = bound
             self._nodes = nodes
 
-        tight_loops = self._bounded_over_regions(bound, report)
+        tight_loops = self._bounded_over_body(bound, report)
         liveness_pass(bound, report, nodes=nodes)
         if tight_loops:
             return report
 
-        flat_raw = tuple(v for r in self._regions for v in r.raw)
-        flat_masked = tuple(v for r in self._regions for v in r.masked)
+        entries = self._body.entries
+        flat_raw = tuple(v for en in entries for v in en.raw)
+        flat_masked = tuple(v for en in entries for v in en.masked)
         memo = self._dfa_memo
         if (memo is not None and memo.replayable
                 and (flat_raw == memo.raw
@@ -760,46 +624,39 @@ class IncrementalAnalyzer:
             self.stats["dfa_rebuilds"] += 1
         return report
 
-    def _bounded_over_regions(self, bound, report: Report) -> int:
-        """Replicates ``analyze_bounded``'s top-level block walk over the
-        per-region memos, byte-identically: same diagnostics, in the
-        same order, same tight-loop count."""
-        entries: list[tuple] = []      # (stmt, outcomes, diags, tight)
-        env: list[tuple] = []
-        for region in self._regions:
-            cur_env = tuple(env)
-            if region.bounded is None or region.env_sig != cur_env:
-                memo = []
-                for stmt in region.stmts:
-                    scratch = Report(filename=self.filename)
-                    sink = _CollectingSink(scratch)
-                    out = statement_outcomes(stmt, bound, sink)
-                    memo.append((out, scratch.diagnostics,
-                                 sink.tight_loops))
-                region.bounded = memo
-                region.env_sig = cur_env
-                self.stats["bounded_misses"] += 1
-            else:
-                self.stats["bounded_hits"] += 1
-            for stmt, entry in zip(region.stmts, region.bounded):
-                entries.append((stmt, *entry))
-            env.extend(region.exports)
-
+    def _bounded_over_body(self, bound, report: Report) -> int:
+        """Replicates ``analyze_bounded``'s walk of the program body
+        over the per-statement memos, byte-identically: same
+        diagnostics, in the same order, same tight-loop count."""
         sink = _CollectingSink(report)
         tight_total = 0
         acc = frozenset({CZ})
         cut = False
-        for i, (stmt, out, diags, tight) in enumerate(entries):
-            for diag in diags:
-                report.diagnostics.append(_copy_diag(diag))
+        env: tuple = ()
+        entries = self._body.entries
+        for i, entry in enumerate(entries):
+            if entry.bounded is None or entry.bounded[0] != env:
+                scratch = Report(filename=self.filename)
+                stmt_sink = _CollectingSink(scratch)
+                out = statement_outcomes(entry.stmt, bound, stmt_sink)
+                entry.bounded = (env, out, scratch.diagnostics,
+                                 stmt_sink.tight_loops)
+                self.stats["bounded_misses"] += 1
+            else:
+                self.stats["bounded_hits"] += 1
+            sig = declaration_signature(entry.stmt)
+            if sig:
+                env += (sig,)
+            _env, out, diags, tight = entry.bounded
+            report.diagnostics.extend(map(_copy_diag, diags))
             tight_total += tight
             if cut:
                 continue
             acc = seq_outcomes(acc, out)
             if not acc & COMPLETIONS:
-                rest = [e[0] for e in entries[i + 1:]]
-                if rest:
-                    sink.unreachable(rest[0], len(rest))
+                if i + 1 < len(entries):
+                    sink.unreachable(entries[i + 1].stmt,
+                                     len(entries) - i - 1)
                 cut = True
         report.stages.append("bounded")
         return tight_total + sink.tight_loops

@@ -87,11 +87,11 @@ from pathlib import Path
 import json
 
 from .codegen import HOST, TARGET16, build_gates, build_layout, compile_to_c
-from .core import analyze
 from .dfa import build_dfa
 from .flow import build_flow
 from .lang import parse
 from .lang.errors import CeuError
+from .lang.lexer import split_lines
 from .obs import ChromeTraceExporter, JsonlExporter, render_stats
 from .obs.fleet import FLEET_SCHEMA, sample
 from .runtime import CheckpointError, Program
@@ -114,11 +114,12 @@ def _load(path: str) -> str:
 
 def cmd_check(args) -> int:
     """All analyses, all findings — not just the first (docs/ANALYSIS.md)."""
-    from .analysis import run_analysis
+    from .analysis import IncrementalAnalyzer
 
     source = _load(args.file)
-    report = run_analysis(source, filename=args.file,
-                          max_states=args.max_states)
+    analyzer = IncrementalAnalyzer(filename=args.file,
+                                   max_states=args.max_states)
+    report = analyzer.analyze(source)
     for diag in report.sorted():
         print(diag.render(), file=sys.stderr)
     conflicts = [d for d in report.errors if d.code.startswith("CEU-E2")]
@@ -130,15 +131,13 @@ def cmd_check(args) -> int:
         return 1
     if "dfa" not in report.stages:
         return 1  # analysis budget exceeded (CEU-W401 above)
-    unit = analyze(source, filename=args.file,
-                   max_states=args.max_states)
-    layout = unit.memory_layout(TARGET16)
-    gates = unit.gate_table()
+    bound = analyzer.last_bound
+    layout = build_layout(bound, TARGET16)
     print(f"{args.file}: deterministic")
-    print(f"  events   : {len(unit.bound.events)}")
-    print(f"  variables: {len(unit.bound.variables)} "
+    print(f"  events   : {len(bound.events)}")
+    print(f"  variables: {len(bound.variables)} "
           f"({layout.total} bytes static memory)")
-    print(f"  gates    : {gates.count}")
+    print(f"  gates    : {build_gates(bound).count}")
     print(f"  dfa      : {report.dfa_states} states, "
           f"{report.dfa_transitions} transitions")
     if report.bounds is not None:
@@ -151,8 +150,8 @@ def _changed_lines(base: str, new: str) -> set:
     ``base`` (the `--diff-base` filter)."""
     import difflib
 
-    base_lines = base.splitlines(keepends=True)
-    new_lines = new.splitlines(keepends=True)
+    base_lines = split_lines(base)
+    new_lines = split_lines(new)
     matcher = difflib.SequenceMatcher(None, base_lines, new_lines,
                                       autojunk=False)
     same = set()

@@ -9,10 +9,10 @@ from typing import Any, Optional, Sequence, Union
 
 from ..codegen import (HOST, CompiledC, GateTable, MemLayout, TargetABI,
                        build_gates, build_layout, compile_to_c)
-from ..dfa import Dfa, build_dfa
+from ..dfa import Dfa
+from ..dfa import check_determinism as refuse_conflicts
 from ..flow import FlowGraph, build_flow
 from ..lang import parse
-from ..lang.errors import NondeterminismError
 from ..runtime import CEnv, Program
 from ..runtime.program import parse_time
 from ..sema import BoundProgram, bind, check_bounded
@@ -56,14 +56,7 @@ def analyze(source: str, check_determinism: bool = True,
     """Run the full front end and static analyses on Céu source."""
     bound = bind(parse(source, filename))
     check_bounded(bound)
-    dfa = None
-    if check_determinism:
-        dfa = build_dfa(bound, max_states=max_states)
-        if dfa.conflicts:
-            first = dfa.conflicts[0]
-            raise NondeterminismError(first.message(), first.first.span,
-                                      state=first.state_index,
-                                      witness=(first.first, first.second))
+    dfa = refuse_conflicts(bound, max_states) if check_determinism else None
     return CompiledUnit(source, bound, dfa)
 
 

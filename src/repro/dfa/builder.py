@@ -105,12 +105,10 @@ class Dfa:
 
 
 class DfaBuilder:
-    def __init__(self, bound: BoundProgram, max_states: int = 20_000,
-                 stop_at_first_conflict: bool = False):
+    def __init__(self, bound: BoundProgram, max_states: int = 20_000):
         self.bound = bound
         self.machine = AbstractMachine(bound)
         self.max_states = max_states
-        self.stop_at_first = stop_at_first_conflict
 
     def build(self) -> Dfa:
         dfa = Dfa()
@@ -145,8 +143,6 @@ class DfaBuilder:
             dfa.edges.append((-1, "boot", idx))
             if fresh:
                 worklist.append(idx)
-        if self.stop_at_first and dfa.conflicts:
-            return dfa
 
         while worklist:
             if len(dfa.states) > self.max_states:
@@ -162,10 +158,6 @@ class DfaBuilder:
                         src)
                     dfa.conflicts.extend(conflicts)
                     note_emits(actions)
-                    if self.stop_at_first and dfa.conflicts:
-                        idx, _ = intern(config)
-                        dfa.edges.append((src, trigger, idx))
-                        return dfa
                     idx, fresh = intern(config)
                     dfa.edges.append((src, trigger, idx))
                     if fresh:
@@ -212,10 +204,9 @@ class DfaBuilder:
                    for _, entry in config)
 
 
-def build_dfa(bound: BoundProgram, max_states: int = 20_000,
-              stop_at_first_conflict: bool = False) -> Dfa:
+def build_dfa(bound: BoundProgram, max_states: int = 20_000) -> Dfa:
     """Run the temporal analysis; returns the DFA with any conflicts."""
-    return DfaBuilder(bound, max_states, stop_at_first_conflict).build()
+    return DfaBuilder(bound, max_states).build()
 
 
 def check_determinism(bound: BoundProgram,

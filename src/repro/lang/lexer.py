@@ -58,7 +58,7 @@ class Lexer:
         self.col = 1
         #: spans of ``/* ... */`` comments, recorded as they are skipped.
         #: The incremental analyzer uses the multi-line ones to keep
-        #: region extents from splitting a comment in half.  (The ``C do``
+        #: statement extents from splitting a comment in half.  (The ``C do``
         #: lookahead re-scans trivia after a position restore, so the list
         #: may contain duplicates — consumers treat it as a set.)
         self.comments: list[SourceSpan] = []
@@ -69,6 +69,9 @@ class Lexer:
         return self.src[i] if i < len(self.src) else ""
 
     def _advance(self, n: int = 1) -> str:
+        """Consume up to ``n`` characters; at the end of the input, fewer
+        (a scanner stepping over a closing ``*/`` or an escaped
+        character that is not there stays inside the source)."""
         text = self.src[self.pos:self.pos + n]
         newlines = text.count("\n")
         if newlines:
@@ -76,7 +79,7 @@ class Lexer:
             self.col = len(text) - text.rindex("\n")
         else:
             self.col += len(text)
-        self.pos += n
+        self.pos += len(text)
         return text
 
     def _pos(self) -> SourcePos:
@@ -312,3 +315,15 @@ class Lexer:
 def tokenize(src: str, filename: str = "<ceu>") -> list[Token]:
     """Tokenise ``src`` to a list ending in an EOF token."""
     return list(Lexer(src, filename).tokens())
+
+
+def split_lines(text: str) -> list[str]:
+    """``text`` cut after every ``\\n``, each line keeping it: the lexer's
+    line model.  (``str.splitlines`` also cuts at ``\\r``, ``\\f``,
+    ``\\x85``, ``\\u2028`` and other characters that the lexer reads as
+    blanks or comment text, so its line numbers drift from the spans.)"""
+    lines = [line + "\n" for line in text.split("\n")]
+    lines[-1] = lines[-1][:-1]
+    if not lines[-1]:
+        lines.pop()
+    return lines

@@ -44,13 +44,12 @@ class Parser:
         self.idx = 0
         self.filename = filename
         #: when ``track_extents`` is set, the exact token-index range
-        #: ``[start, end)`` consumed by each statement of each block —
-        #: the incremental analyzer derives region extents and its
-        #: nested damage-recovery tree from these (plain statement spans
-        #: only cover the first token for declarations).  Keyed by
+        #: ``[start, end)`` consumed by each statement of each block (the
+        #: program body included) — the incremental analyzer derives its
+        #: damage-repair tree from these (plain statement spans only
+        #: cover the first token for declarations).  Keyed by
         #: ``id(block)``; valid while the AST is alive.
         self.track_extents = track_extents
-        self.toplevel_marks: list[tuple[ast.Stmt, int, int]] = []
         self.block_marks: dict[int, list[tuple[ast.Stmt, int, int]]] = {}
         self.block_ranges: dict[int, tuple[int, int]] = {}
 
@@ -131,8 +130,6 @@ class Parser:
         if self.track_extents:
             self.block_marks[id(block)] = marks
             self.block_ranges[id(block)] = (block_start, self.idx)
-            if top:
-                self.toplevel_marks = marks
         return block
 
     # ---------------------------------------------------------- statements

@@ -198,7 +198,7 @@ def _outcomes_stmt_raw(s: ast.Stmt, bound: BoundProgram,
 
 #: public aliases for the incremental analyzer (docs/ANALYSIS.md), which
 #: replicates the top-level `_outcomes_block` walk over memoized
-#: per-region statement outcomes
+#: per-statement outcomes
 COMPLETIONS = _COMPLETIONS
 seq_outcomes = _seq
 

@@ -123,9 +123,9 @@ def declaration_signature(stmt: ast.Stmt) -> tuple:
     hashable value — empty for statements that declare nothing.
 
     Two statements with equal signatures contribute the same
-    names/kinds/types to every later scope, so a region whose own text
+    names/kinds/types to every later scope, so a statement whose own text
     and whose predecessors' signatures are both unchanged binds the same
-    symbols.  The incremental analyzer keys its per-region memo on
+    symbols.  The incremental analyzer keys its per-statement memo on
     (content, environment signature) and re-runs dependents when a
     predecessor's signature changes.
     """

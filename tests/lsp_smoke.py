@@ -1,10 +1,13 @@
 """End-to-end LSP smoke test: spawn ``repro lsp`` as a real subprocess
 and drive it over stdio pipes, exactly as an editor would.
 
-Asserts the full loop: initialize handshake → didOpen publishes the
-same CEU-* diagnostic codes as ``repro lint`` → an incremental
-didChange re-publishes at keystroke latency → hover answers with the
-static resource bounds → clean shutdown/exit.
+Asserts the full loop: initialize handshake → didOpen publishes what
+``repro lint --format json`` reports for the same text (every
+diagnostic's code and start position) → an incremental didChange
+re-publishes what lint reports for the edited text → hover answers with
+the static resource bounds → clean shutdown/exit.  A second document
+holds a form feed in its first line, which the server must count as
+lint does: not as a line break.
 
 Run from the repository root (CI ``lsp-smoke`` step)::
 
@@ -15,6 +18,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -31,6 +35,11 @@ with
     x = 2;
 end
 """
+
+
+#: the race under a first line holding a form feed, which
+#: ``str.splitlines`` would count as a line break
+FORM_FEED = "// smoke\fform feed\n" + RACY
 
 
 def frame(obj) -> bytes:
@@ -59,8 +68,33 @@ def wait_for(stdout, predicate, what):
     raise AssertionError(f"never saw {what}")
 
 
+def published(message) -> list:
+    """(code, line, character) of every published diagnostic."""
+    return sorted((d["code"], d["range"]["start"]["line"],
+                   d["range"]["start"]["character"])
+                  for d in message["params"]["diagnostics"])
+
+
+def linted(text: str) -> list:
+    """What ``repro lint --format json`` reports for ``text``, in the
+    form of :func:`published` (0-based; a spanless finding at 0:0)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "doc.ceu"
+        path.write_text(text, newline="")
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "--format", "json",
+             str(path)], capture_output=True, text=True, cwd=ROOT,
+            check=True).stdout
+    found = []
+    for diag in json.loads(out)["diagnostics"]:
+        span = diag["span"] or {"line": 1, "col": 1}
+        found.append((diag["code"], span["line"] - 1, span["col"] - 1))
+    return sorted(found)
+
+
 def main() -> int:
     uri = "file:///smoke/racy.ceu"
+    ff_uri = "file:///smoke/form_feed.ceu"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "lsp"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, cwd=ROOT)
@@ -89,6 +123,7 @@ def main() -> int:
             "publishDiagnostics")
         codes = sorted({d["code"] for d in pub["params"]["diagnostics"]})
         assert "CEU-E201" in codes, codes
+        assert published(pub) == linted(RACY), published(pub)
         print("didOpen: ok, published", codes)
 
         # keystroke: x = 3 → x = 4 (line 5, cols 8..9), incremental sync
@@ -106,7 +141,37 @@ def main() -> int:
             "re-published diagnostics")
         codes2 = sorted({d["code"] for d in pub2["params"]["diagnostics"]})
         assert "CEU-E201" in codes2, codes2
+        assert published(pub2) == linted(RACY.replace("x = 3", "x = 4"))
         print("didChange: ok, re-published", codes2)
+
+        # a comment appended to `x = 3;` (line 6, 0-based) of a document
+        # whose first line holds a form feed
+        send({"jsonrpc": "2.0", "method": "textDocument/didOpen",
+              "params": {"textDocument": {
+                  "uri": ff_uri, "languageId": "ceu",
+                  "version": 1, "text": FORM_FEED}}})
+        pub_ff = wait_for(
+            proc.stdout,
+            lambda m: m.get("method") == "textDocument/publishDiagnostics"
+            and m["params"]["uri"] == ff_uri, "form-feed publish")
+        assert published(pub_ff) == linted(FORM_FEED), published(pub_ff)
+        send({"jsonrpc": "2.0", "method": "textDocument/didChange",
+              "params": {
+                  "textDocument": {"uri": ff_uri, "version": 2},
+                  "contentChanges": [{
+                      "range": {"start": {"line": 6, "character": 10},
+                                "end": {"line": 6, "character": 10}},
+                      "text": " // edited"}]}})
+        pub3 = wait_for(
+            proc.stdout,
+            lambda m: m.get("method") == "textDocument/publishDiagnostics"
+            and m["params"]["uri"] == ff_uri
+            and m["params"].get("version") == 2,
+            "form-feed re-publish")
+        edited = FORM_FEED.replace("x = 3;", "x = 3; // edited")
+        assert published(pub3) == linted(edited), (published(pub3),
+                                                   linted(edited))
+        print("form feed: ok, re-published", published(pub3))
 
         send({"jsonrpc": "2.0", "id": 2, "method": "textDocument/hover",
               "params": {"textDocument": {"uri": uri},

@@ -1,6 +1,7 @@
 """The CLI (`python -m repro`) and the multi-hop collection protocol."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,19 @@ class TestCli:
         assert main(["check", ceu_file(GOOD)]) == 0
         out = capsys.readouterr().out
         assert "deterministic" in out and "dfa" in out
+
+    def test_check_builds_the_dfa_once(self, monkeypatch, capsys):
+        """The counts `check` prints come from the analysis it ran."""
+        from repro.dfa.builder import DfaBuilder
+
+        calls = []
+        build = DfaBuilder.build
+        monkeypatch.setattr(DfaBuilder, "build",
+                            lambda self: calls.append(self) or build(self))
+        corpus = Path(__file__).parent / "corpus"
+        assert main(["check", str(corpus / "deep_014.ceu")]) == 0
+        assert "deterministic" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_check_refuses(self, ceu_file, capsys):
         assert main(["check", ceu_file(BAD)]) == 1

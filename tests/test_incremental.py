@@ -2,18 +2,22 @@
 
 The headline property: for *any* edit sequence, ``IncrementalAnalyzer
 .analyze()`` output is byte-identical to a cold ``run_analysis`` over
-the same source — the cache layers (region splicing, entry-tree damage
-recovery, bounded memos, DFA replay) are pure optimisations.  The
-random-walk test drives 200 edits through one analyzer instance and
+the same source — the cache layers (statement-tree repair, bounded
+memos, DFA replay) are pure optimisations.  The random-walk test drives
+200 edits through one analyzer instance, from a program with one
+statement per line and from one whose statements share lines, and
 asserts both the identity and that the caches actually hit.
 """
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import IncrementalAnalyzer, run_analysis
+from repro.cli import main
+from repro.lang import ast
 
 CORPUS = Path(__file__).parent / "corpus"
 EXAMPLES = Path(__file__).parent.parent / "examples" / "ceu"
@@ -33,6 +37,45 @@ with
       v = await Restart;
       emit changed;
    end
+end
+"""
+
+
+#: statements that share lines, at the top level and inside a ``loop``:
+#: two declarations on line 2, two joined by a block comment on lines 3-4,
+#: three statements on line 7; the second ``loop`` shares its first line
+#: with the ``par``'s ``with`` and its last with the ``par``'s ``end``
+GROUPED = """\
+input int Restart;
+internal void changed; int v = 0;
+int w = 0; /* a block comment
+   joining two statements */ int u = 5;
+par do
+   loop do
+      await 1s; v = v + 1; emit changed;
+      w = w + 1;
+      u = u - 1;
+   end
+with loop do
+      v = await Restart;
+      emit changed; end end
+"""
+
+#: the characters besides ``\n`` that ``str.splitlines`` cuts at; the
+#: lexer reads them as blanks or comment text
+SEPARATORS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+
+RACY = """\
+input void A;
+int x = 0;
+par/and do
+    x = 1;
+    await A;
+    x = 3;
+with
+    await A;
+    x = 2;
 end
 """
 
@@ -133,7 +176,74 @@ def test_last_bound_exposed_for_lsp():
     assert any(sym.name == "v" for sym in bound.variables)
 
 
+@pytest.mark.parametrize("sep", SEPARATORS,
+                         ids=lambda ch: f"U+{ord(ch):04X}")
+def test_lines_end_only_at_newline(sep, tmp_path, capsys):
+    """The analyzer and ``lint --diff-base`` count lines as the lexer
+    does, at ``\\n`` only: another separator in a comment on line 1
+    neither moves an incremental report off the cold one nor makes
+    ``--diff-base`` drop the finding on the changed line."""
+    source = (CORPUS / "deep_005.ceu").read_text().replace(
+        "\n", f" // form{sep}feed\n", 1)
+    lines = source.split("\n")
+    mid = len(lines) // 2
+    an = IncrementalAnalyzer()
+    check(an, source)
+    check(an, "\n".join(lines[:mid] + ["// keystroke"] + lines[mid:]))
+    assert an.stats["full_runs"] == 1
+
+    # the conflict is anchored on the changed line, `x = 4`
+    racy = f"// smoke{sep}// feed\n{RACY}"
+    base = tmp_path / "base.ceu"
+    new = tmp_path / "new.ceu"
+    base.write_text(racy, newline="")
+    new.write_text(racy.replace("x = 3", "x = 4"), newline="")
+    assert main(["lint", str(new), "--diff-base", str(base),
+                 "--format", "json"]) == 0
+    found = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [d["code"] for d in found] == ["CEU-E201"]
+
+
+def test_grouped_statements_repair_in_place():
+    """Statements that share lines are kept or re-parsed together at
+    every level.  An edit elsewhere in the first ``loop``, whose line 7
+    holds three statements, and a line added inside the second, which
+    starts on the ``par``'s ``with`` line and ends on its ``end``, are
+    both repaired inside their loop (the loop objects survive).
+    Single-line edits anywhere never fall back to a cold run."""
+    def loops():
+        return [node for node in an.last_bound.program.walk()
+                if isinstance(node, ast.Loop)]
+
+    an = IncrementalAnalyzer()
+    check(an, GROUPED)
+    first, second = loops()
+    check(an, GROUPED.replace("w = w + 1;", "w = w + 2;"))
+    check(an, GROUPED.replace("await Restart;\n",
+                              "await Restart;\n      u = 1;\n"))
+    assert [id(loop) for loop in loops()] == [id(first), id(second)]
+    rng = random.Random(19)
+    lines = GROUPED.splitlines(keepends=True)
+    for _ in range(60):
+        edited = list(lines)
+        pos = rng.randrange(len(lines))
+        if rng.random() < 0.5:
+            edited.insert(pos, "// edited\n")
+        else:
+            edited[pos] = _mutate(lines[pos])
+        check(an, "".join(edited))
+    assert (an.stats["full_runs"], an.stats["full_fallbacks"]) == (1, 0)
+
+
 # ------------------------------------------------------------- random walk
+def _mutate(line: str) -> str:
+    """Bump every digit of a line, or comment the end of one without."""
+    if any(ch.isdigit() for ch in line):
+        return "".join(str((int(ch) + 1) % 10) if ch.isdigit() else ch
+                       for ch in line)
+    return line.rstrip("\n") + " // x\n"
+
+
 def _random_edit(rng: random.Random, lines: list) -> list:
     """One line-granular edit: insert, delete, or mutate a line."""
     lines = list(lines)
@@ -146,13 +256,7 @@ def _random_edit(rng: random.Random, lines: list) -> list:
         lines.pop(rng.randrange(len(lines)))
     elif kind == "mutate" and lines:
         pos = rng.randrange(len(lines))
-        line = lines[pos]
-        if any(ch.isdigit() for ch in line):
-            lines[pos] = "".join(
-                str((int(ch) + 1) % 10) if ch.isdigit() else ch
-                for ch in line)
-        else:
-            lines[pos] = line.rstrip("\n") + " // x\n"
+        lines[pos] = _mutate(lines[pos])
     else:
         pos = rng.randrange(len(lines)) if lines else 0
         if lines:
@@ -160,11 +264,13 @@ def _random_edit(rng: random.Random, lines: list) -> list:
     return lines
 
 
-def test_random_edit_walk_byte_identical():
+@pytest.mark.parametrize("base", [
+    (EXAMPLES / "counter.ceu").read_text(), GROUPED],
+    ids=["counter", "grouped"])
+def test_random_edit_walk_byte_identical(base):
     """200 random edits through one analyzer: every report byte-identical
     to a cold run, and the caches provably did work."""
     rng = random.Random(20110214)              # PPoPP'11 ;)
-    base = (EXAMPLES / "counter.ceu").read_text()
     an = IncrementalAnalyzer(filename="walk.ceu")
     check(an, base)
     lines = base.splitlines(keepends=True)

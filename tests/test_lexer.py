@@ -244,29 +244,36 @@ def _lexer_inputs() -> list[str]:
     return sources + mutants
 
 
+#: inputs that end inside a scanner: an unterminated comment in a ``C do``
+#: body, and a trailing escape in a C string and in a Céu string
+PAST_THE_END = ["C do /*", 'C do "a\\', '"ab\\']
+
+
 def test_spans_match_offsets_on_every_input():
-    """Every repo program, fuzz programs and byte mutants of both either
-    tokenize or raise LexError.  Outside ``C do`` bodies a token's text
-    is the source between its offsets, and its lines and columns are a
-    recount of those offsets."""
-    for src in _lexer_inputs():
+    """Every repo program, fuzz programs, byte mutants of both and inputs
+    that end inside a scanner either tokenize or raise LexError.  Outside
+    ``C do`` bodies a token's text is the source between its offsets.
+    The span of every such token and of every LexError ends inside the
+    source, and its lines and columns are a recount of its offsets."""
+    for src in _lexer_inputs() + PAST_THE_END:
         starts = [0] + [i + 1 for i, ch in enumerate(src) if ch == "\n"]
 
         def at(offset: int) -> tuple[int, int]:
             line = bisect.bisect_right(starts, offset)
             return line, offset - starts[line - 1] + 1
 
-        toks = []
+        spans = []
         try:
             for tok in Lexer(src, "f.ceu").tokens():
-                toks.append(tok)
-        except LexError:
-            pass
-        for tok in toks:
-            if tok.kind is TokKind.C_CODE:
-                continue
-            start, end = tok.span.start, tok.span.end
-            assert src[start.offset:end.offset] == tok.text
+                if tok.kind is not TokKind.C_CODE:
+                    start, end = tok.span.start, tok.span.end
+                    assert src[start.offset:end.offset] == tok.text
+                    spans.append(tok.span)
+        except LexError as err:
+            spans.append(err.span)
+        for span in spans:
+            start, end = span.start, span.end
+            assert start.offset <= end.offset <= len(src), (src, span)
             assert (start.line, start.col) == at(start.offset)
             assert (end.line, end.col) == at(end.offset)
 
