@@ -100,12 +100,14 @@ from .sema import bind, check_bounded
 
 
 def _load(path: str) -> str:
-    """Read an input file (``-`` is stdin).  A missing or unreadable one
-    is a one-line diagnostic (``main`` exits 1), never a traceback."""
-    if path == "-":
-        return sys.stdin.read()
+    """Read an input file (``-`` is stdin) as UTF-8, every character as
+    written: no newline translation, so the lexer sees the text an
+    editor sends the LSP.  A missing or unreadable one is a one-line
+    diagnostic (``main`` exits 1), never a traceback."""
     try:
-        return Path(path).read_text()
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except OSError as err:
         raise CeuError(f"{path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
@@ -601,6 +603,7 @@ def cmd_dot(args) -> int:
     if args.flow:
         sys.stdout.write(build_flow(bound).to_dot() + "\n")
         return 0
+    check_bounded(bound)  # the abstract machine assumes §2.5 holds
     dfa = build_dfa(bound, max_states=args.max_states)
     sys.stdout.write(dfa.to_dot(bound) + "\n")
     if dfa.conflicts:

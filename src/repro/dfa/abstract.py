@@ -31,29 +31,47 @@ the event's arrival instant is unknown.  Within an epoch the minimal
 remaining time fires, and equal minima fire in the same reaction —
 concurrently — which is exactly how the analysis catches the paper's
 ``10ms``-loop-vs-``100ms`` race while accepting ``50+49`` vs ``100``.
+
+Compiled segments: between two touches of the configuration, a chain's
+path through the AST is fixed by the AST alone.  Assignments, C calls,
+declarations, external emits, the successors of blocks, loops, ``if``
+and ``do``, and a ``break`` or ``return`` that crosses no ``par`` only
+record accesses.  So the first time a build reaches a *cursor* (entering
+a node, leaving it, or a declaration resumed at its n-th declarator) it
+compiles it into a :class:`Segment`: the ``(kind, key, span)`` template
+of every access up to the next op that reads or changes the
+configuration (an await, an ``if`` fork, a ``par``, an internal emit, an
+escape, a branch end, a return, the program's end), then that op.  A
+chain runs one segment per await or fork, and records each access as a
+``(chain, template)`` pair; :func:`~repro.dfa.actions.find_conflicts`
+builds :class:`~repro.dfa.actions.Action` objects only for a conflict's
+two sides.  Segments live on one build's machine, never on the bound
+program, because the incremental analyzer rebases spans in place between
+builds.  A segment that comes back to a cursor it passed is a loop with
+no await in it (§2.5): the tight-loop refusal, found at once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..lang import ast
 from ..lang.errors import AnalysisBudgetExceeded
 from ..sema.binder import BoundProgram
-from .actions import ARM, CALL, EMIT, RD, WR, Action, ChainSet
+from .actions import ARM, CALL, EMIT, RD, WR, ChainSet
 
 Path = tuple
 Entry = tuple
 
+#: cursor kinds: ``(ENTER, node)``, ``(AFTER, node)`` and
+#: ``(DECL, declvar, index)``
+ENTER, AFTER, DECL = "enter", "after", "decl"
 
-@dataclass(eq=False)
-class RunItem:
-    cursor: tuple            # ("enter", node) | ("after", node) |
-    #                          ("decl", declvar, index)
-    path: Path
-    chain: int
+#: AST steps one chain may take before it counts as a tight loop
+STEP_BUDGET = 100_000
+TIGHT_LOOP = "abstract chain did not reach an await — tight loop?"
 
 
 @dataclass(eq=False)
@@ -62,21 +80,43 @@ class JoinItem:
     seq: int
     kind: str                # "join" | "escape"
     path: Path               # par path (join) / escaping leaf path (escape)
-    payload: tuple           # join: (par_nid,); escape: (k, target_node)
+    payload: tuple           # join: (par,); escape: (k, target)
     cause: Optional[int] = None   # chain that enqueued this join
 
 
-class MidState:
-    """One in-flight abstract reaction (copied at every conditional)."""
+class Segment:
+    """One cursor, compiled: record ``accesses``, then run ``op``.
 
-    __slots__ = ("tree", "stack", "joinq", "actions", "chains",
+    ``op(machine, ms, arg, path, chain, worklist)`` is the step that
+    touches the configuration; it returns the cursor the chain goes on
+    at, or ``None`` when the chain stops.  ``steps`` is the number of AST
+    steps the segment stands for, which the step budget counts."""
+
+    __slots__ = ("accesses", "steps", "op", "arg")
+
+    def __init__(self, accesses: tuple, steps: int, op, arg) -> None:
+        self.accesses = accesses
+        self.steps = steps
+        self.op = op
+        self.arg = arg
+
+
+class MidState:
+    """One in-flight abstract reaction (copied at every conditional).
+
+    ``stack`` holds ``(cursor, path, chain)`` run items and ``accesses``
+    the ``(chain, (kind, key, span))`` pairs in the order they ran;
+    neither the items nor the join items are mutated, so copies share
+    them."""
+
+    __slots__ = ("tree", "stack", "joinq", "accesses", "chains",
                  "timer_epoch", "terminated", "_seq")
 
     def __init__(self, tree: dict, timer_epoch: int):
         self.tree = tree
-        self.stack: list[RunItem] = []
+        self.stack: list[tuple] = []
         self.joinq: list[JoinItem] = []
-        self.actions: list[Action] = []
+        self.accesses: list[tuple] = []
         self.chains = ChainSet()
         self.timer_epoch = timer_epoch
         self.terminated = False
@@ -84,11 +124,9 @@ class MidState:
 
     def copy(self) -> "MidState":
         dup = MidState(dict(self.tree), self.timer_epoch)
-        dup.stack = [RunItem(i.cursor, i.path, i.chain) for i in self.stack]
-        dup.joinq = [JoinItem(j.prio, j.seq, j.kind, j.path, j.payload,
-                              j.cause)
-                     for j in self.joinq]
-        dup.actions = list(self.actions)
+        dup.stack = list(self.stack)
+        dup.joinq = list(self.joinq)
+        dup.accesses = list(self.accesses)
         dup.chains = self.chains.copy()
         dup.terminated = self.terminated
         dup._seq = self._seq
@@ -125,16 +163,20 @@ class AbstractMachine:
         self.bound = bound
         self.midstate_budget = midstate_budget
         self._epoch_seq = itertools.count(1)
+        self._segments: dict[tuple, Segment] = {}
+        #: await nid -> the cursor its trail resumes at; filled as the
+        #: awaits are compiled, which is before any configuration holds
+        #: them
+        self._resume: dict[int, tuple] = {}
 
     def fresh_epoch(self) -> int:
         return next(self._epoch_seq)
 
     # --------------------------------------------------------- transitions
-    def boot(self) -> list[tuple[tuple, list[Action], ChainSet]]:
+    def boot(self) -> list[tuple[tuple, list[tuple], ChainSet]]:
         ms = MidState({(): ("run",)}, self.fresh_epoch())
         chain = ms.chains.new()
-        ms.stack.append(RunItem(("enter", self.bound.program.body), (),
-                                chain))
+        ms.stack.append(((ENTER, self.bound.program.body), (), chain))
         return self._drain(ms)
 
     def fire_event(self, frozen: tuple, name: str):
@@ -178,27 +220,25 @@ class AbstractMachine:
         if entry is None or entry[0] != "async":
             return []
         ms = MidState(tree, self.fresh_epoch())
-        node = self._node_by_nid(entry[1])
         ms.tree[path] = ("run",)
         chain = ms.chains.new()
-        ms.stack.append(RunItem(("after", node), path, chain))
+        ms.stack.append((self._resume[entry[1]], path, chain))
         return self._drain(ms)
 
     def _seed_resumes(self, ms: MidState, leaves: list) -> None:
-        """Arrange independent (mutually concurrent) resumes of leaves."""
+        """Arrange independent (mutually concurrent) resumes of leaves:
+        each goes on after its await."""
         items = []
         for path, entry in leaves:
             ms.tree[path] = ("run",)
-            node = self._node_by_nid(entry[1])
-            chain = ms.chains.new()
-            items.append(RunItem(("after_await", node), path, chain))
+            items.append((self._resume[entry[1]], path, ms.chains.new()))
         ms.stack.extend(reversed(items))
 
     # ----------------------------------------------------------- the drain
     def _drain(self, first: MidState):
         """Run the abstract reaction to quiescence in every fork.
 
-        Returns ``[(frozen_tree, actions, chains), ...]`` — one result per
+        Returns ``[(frozen_tree, accesses, chains), ...]`` — one result per
         distinct data path through the reaction.
         """
         results = []
@@ -211,11 +251,11 @@ class AbstractMachine:
                     "temporal analysis transition exceeded its fork budget")
             ms = worklist.pop()
             if ms.terminated:
-                results.append((freeze(ms.tree), ms.actions, ms.chains))
+                results.append((freeze(ms.tree), ms.accesses, ms.chains))
                 continue
             if ms.stack:
-                item = ms.stack.pop()
-                self._run(ms, item, worklist)
+                cursor, path, chain = ms.stack.pop()
+                self._run(ms, cursor, path, chain, worklist)
                 worklist.append(ms)
                 continue
             if ms.joinq:
@@ -224,240 +264,199 @@ class AbstractMachine:
                 self._dispatch_join(ms, join)
                 worklist.append(ms)
                 continue
-            results.append((freeze(ms.tree), ms.actions, ms.chains))
+            results.append((freeze(ms.tree), ms.accesses, ms.chains))
         return results
 
     # ---------------------------------------------------------- run cursor
-    def _run(self, ms: MidState, item: RunItem, worklist: list) -> None:
-        """Advance one chain until it suspends/ends (forks go to worklist)."""
-        cursor = item.cursor
-        path = item.path
-        chain = item.chain
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 100_000:
-                raise AnalysisBudgetExceeded(
-                    "abstract chain did not reach an await — tight loop?")
-            kind, node = cursor[0], cursor[1]
-            if kind == "enter":
-                nxt = self._enter(ms, node, path, chain, worklist)
-            elif kind == "after":
-                nxt = self._after(ms, node, path, chain)
-            elif kind == "after_await":
-                # resuming from an await: value assignment (if any) is
-                # handled by the generic successor walk
-                nxt = self._after(ms, node, path, chain)
-            elif kind == "decl":
-                nxt = self._decl_step(ms, cursor, path, chain)
-            else:  # pragma: no cover
-                raise AssertionError(cursor)
-            if nxt is None:
-                return  # suspended / branch ended / stacked
-            cursor = nxt
+    def _run(self, ms: MidState, cursor: tuple, path: Path, chain: int,
+             worklist: list) -> None:
+        """Advance one chain a segment at a time until it suspends or
+        ends (forks go to the worklist)."""
+        segments = self._segments
+        steps = 0
+        while cursor is not None:
+            seg = segments.get(cursor) or self._compile(cursor)
+            steps += seg.steps
+            if steps > STEP_BUDGET:
+                raise AnalysisBudgetExceeded(TIGHT_LOOP)
+            if seg.accesses:
+                ms.accesses.extend(zip(itertools.repeat(chain),
+                                       seg.accesses))
+            cursor = seg.op(self, ms, seg.arg, path, chain, worklist)
 
-    # returns next cursor, or None when the chain stops
-    def _enter(self, ms: MidState, node: ast.Node, path: Path, chain: int,
-               worklist: list) -> Optional[tuple]:
+    # ------------------------------------------------------------ compiler
+    def _compile(self, cursor: tuple) -> Segment:
+        """Follow the AST from ``cursor`` through every step that only
+        records accesses, up to the op that touches the configuration."""
+        start = cursor
+        accesses: list[tuple] = []
+        passed = set()
+        while True:
+            if cursor in passed:
+                raise AnalysisBudgetExceeded(TIGHT_LOOP)
+            passed.add(cursor)
+            node = cursor[1]
+            if cursor[0] == ENTER:
+                op, arg = self._enter(node, accesses)
+            elif cursor[0] == AFTER:
+                op, arg = self._after(node, accesses)
+            else:
+                op, arg = self._decl(node, cursor[2], accesses)
+            if op is not None:
+                break
+            cursor = arg
+        seg = Segment(tuple(accesses), len(passed), op, arg)
+        self._segments[start] = seg
+        return seg
+
+    # each step returns ``(op, arg)``: ``op`` is None when the chain goes
+    # straight on at cursor ``arg``
+    def _enter(self, node: ast.Node, acc: list) -> tuple:
         bound = self.bound
         if isinstance(node, ast.Block):
             if not node.stmts:
-                return ("after", node)
-            return ("enter", node.stmts[0])
+                return None, (AFTER, node)
+            return None, (ENTER, node.stmts[0])
         if isinstance(node, (ast.Nothing, ast.DeclEvent, ast.PureDecl,
                              ast.DeterministicDecl, ast.CBlockStmt)):
-            return ("after", node)
+            return None, (AFTER, node)
         if isinstance(node, ast.DeclVar):
-            return ("decl", node, 0)
+            return None, (DECL, node, 0)
         if isinstance(node, ast.AwaitExt):
-            ms.tree[path] = ("ext", node.nid)
-            return None
+            return self._suspend(node, _leaf, ("ext", node.nid))
         if isinstance(node, ast.AwaitInt):
-            sym = bound.event_of[node.nid]
-            self._act(ms, chain, ARM, ("evt", sym.uid, sym.name), node.span)
-            ms.tree[path] = ("intl", node.nid)
-            return None
+            acc.append((ARM, self._event_key(node), node.span))
+            return self._suspend(node, _leaf, ("intl", node.nid))
         if isinstance(node, ast.AwaitTime):
-            ms.tree[path] = ("time", node.nid, node.time.us, ms.timer_epoch)
-            return None
+            return self._suspend(node, _timer, (node.nid, node.time.us))
         if isinstance(node, ast.AwaitExp):
-            self._reads(ms, chain, node.exp)
-            ms.tree[path] = ("tunk", node.nid)
-            return None
+            self._reads(acc, node.exp)
+            return self._suspend(node, _leaf, ("tunk", node.nid))
         if isinstance(node, ast.AwaitForever):
-            ms.tree[path] = ("fore", node.nid)
-            return None
+            return self._suspend(node, _leaf, ("fore", node.nid))
         if isinstance(node, ast.AsyncBlock):
             # async bodies are globally asynchronous (§2.9) — not analysed
-            ms.tree[path] = ("async", node.nid)
-            return None
+            return self._suspend(node, _leaf, ("async", node.nid))
         if isinstance(node, ast.EmitInt):
-            return self._emit_internal(ms, node, path, chain)
-        if isinstance(node, ast.EmitExt):
-            sym = bound.event_of[node.nid]
             if node.value is not None:
-                self._reads(ms, chain, node.value)
-            self._act(ms, chain, EMIT, ("evt", sym.uid, sym.name), node.span)
-            return ("after", node)
+                self._reads(acc, node.value)
+            key = self._event_key(node)
+            acc.append((EMIT, key, node.span))
+            return _emit_internal, (key[1], (AFTER, node))
+        if isinstance(node, ast.EmitExt):
+            if node.value is not None:
+                self._reads(acc, node.value)
+            acc.append((EMIT, self._event_key(node), node.span))
+            return None, (AFTER, node)
         if isinstance(node, ast.If):
-            self._reads(ms, chain, node.cond)
-            fork = ms.copy()
+            self._reads(acc, node.cond)
             if node.orelse is not None:
-                fork.stack.append(RunItem(("enter", node.orelse), path,
-                                          chain))
+                other = (ENTER, node.orelse)
             else:
-                fork.stack.append(RunItem(("after", node), path, chain))
-            worklist.append(fork)
-            return ("enter", node.then)
+                other = (AFTER, node)
+            return _fork, ((ENTER, node.then), other)
         if isinstance(node, ast.Loop):
-            return ("enter", node.body)
+            return None, (ENTER, node.body)
         if isinstance(node, ast.Break):
-            target = bound.break_target[node.nid]
-            k = self._pars_crossed(node, target)
-            if k == 0:
-                return ("after", target)
-            self._enqueue_escape(ms, path, k, target, chain)
-            return None
+            return self._escape_to(node, bound.break_target[node.nid])
         if isinstance(node, ast.Return):
             if node.value is not None:
-                self._reads(ms, chain, node.value)
+                self._reads(acc, node.value)
             boundary = bound.ret_boundary.get(node.nid)
             if boundary is None:
-                ms.terminated = True
-                ms.tree = {(): ("term",)}
-                ms.stack.clear()
-                ms.joinq.clear()
-                return None
-            k = self._pars_crossed(node, boundary)
-            if k == 0:
-                return ("after", boundary)
-            self._enqueue_escape(ms, path, k, boundary, chain)
-            return None
+                return _terminate, None
+            return self._escape_to(node, boundary)
         if isinstance(node, ast.ParStmt):
-            ms.tree[path] = ("par", node.nid, node.mode)
-            items = []
-            for i, block in enumerate(node.blocks):
-                child_path = path + (i,)
-                ms.tree[child_path] = ("run",)
-                child_chain = ms.chains.new(cause=chain)
-                items.append(RunItem(("enter", block), child_path,
-                                     child_chain))
-            ms.stack.extend(reversed(items))
-            return None
+            return _par, node
         if isinstance(node, ast.CCallStmt):
-            self._reads(ms, chain, node.call)
-            return ("after", node)
+            self._reads(acc, node.call)
+            return None, (AFTER, node)
         if isinstance(node, ast.CallStmt):
-            self._reads(ms, chain, node.exp)
-            return ("after", node)
+            self._reads(acc, node.exp)
+            return None, (AFTER, node)
         if isinstance(node, ast.Assign):
             if isinstance(node.value, ast.Exp):
-                self._reads(ms, chain, node.value)
-                self._write_target(ms, chain, node.target)
-                return ("after", node)
-            return ("enter", node.value)
+                self._reads(acc, node.value)
+                self._write_target(acc, node.target)
+                return None, (AFTER, node)
+            return None, (ENTER, node.value)
         if isinstance(node, ast.DoBlock):
-            return ("enter", node.body)
+            return None, (ENTER, node.body)
         raise AssertionError(f"abstract: unhandled {type(node).__name__}")
 
-    def _decl_step(self, ms: MidState, cursor: tuple, path: Path,
-                   chain: int) -> Optional[tuple]:
-        _, declvar, index = cursor
+    def _decl(self, declvar: ast.DeclVar, index: int, acc: list) -> tuple:
         while index < len(declvar.decls):
             declarator = declvar.decls[index]
-            sym = self.bound.sym_of_decl[declarator.nid]
-            if declarator.init is None:
-                self._act(ms, chain, WR, ("var", sym.uid, sym.name),
-                          declarator.span)
-                index += 1
-                continue
-            if isinstance(declarator.init, ast.Exp):
-                self._reads(ms, chain, declarator.init)
-                self._act(ms, chain, WR, ("var", sym.uid, sym.name),
-                          declarator.span)
-                index += 1
-                continue
-            # statement-valued initializer: run it; the successor walk
-            # through the Declarator records the write and resumes here
-            return ("enter", declarator.init)
-        return ("after", declvar)
+            if declarator.init is not None:
+                if not isinstance(declarator.init, ast.Exp):
+                    # statement-valued initializer: run it; the successor
+                    # walk through the Declarator records the write and
+                    # resumes here
+                    return None, (ENTER, declarator.init)
+                self._reads(acc, declarator.init)
+            acc.append((WR, self._decl_key(declarator), declarator.span))
+            index += 1
+        return None, (AFTER, declvar)
 
     # ------------------------------------------------------ successor walk
-    def _after(self, ms: MidState, node: ast.Node, path: Path,
-               chain: int) -> Optional[tuple]:
+    def _after(self, node: ast.Node, acc: list) -> tuple:
         parent = self.bound.parent.get(node.nid)
         if parent is None or isinstance(parent, ast.Program):
             # root trail code ended
-            ms.tree[path] = ("done",)
-            return None
+            return _leaf, ("done",)
         if isinstance(parent, ast.Block):
             idx = _index_of(parent.stmts, node)
             if idx + 1 < len(parent.stmts):
-                return ("enter", parent.stmts[idx + 1])
-            return ("after", parent)
+                return None, (ENTER, parent.stmts[idx + 1])
+            return None, (AFTER, parent)
         if isinstance(parent, ast.Loop):
-            return ("enter", parent.body)  # iterate (bounded by §2.5)
-        if isinstance(parent, (ast.If, ast.DoBlock)):
-            return ("after", parent)
+            return None, (ENTER, parent.body)  # iterate (bounded by §2.5)
+        if isinstance(parent, (ast.If, ast.DoBlock, ast.AsyncBlock)):
+            return None, (AFTER, parent)
         if isinstance(parent, ast.ParStmt):
-            return self._branch_end(ms, parent, path, chain)
+            return _branch_end, parent
         if isinstance(parent, ast.Declarator):
-            sym = self.bound.sym_of_decl[parent.nid]
-            self._act(ms, chain, WR, ("var", sym.uid, sym.name),
-                      parent.span)
+            acc.append((WR, self._decl_key(parent), parent.span))
             declvar = self.bound.parent[parent.nid]
-            idx = _index_of(declvar.decls, parent)
-            return ("decl", declvar, idx + 1)
+            return None, (DECL, declvar,
+                          _index_of(declvar.decls, parent) + 1)
         if isinstance(parent, ast.Assign):
-            self._write_target(ms, chain, parent.target)
-            return ("after", parent)
-        if isinstance(parent, ast.AsyncBlock):  # pragma: no cover
-            return ("after", parent)
+            self._write_target(acc, parent.target)
+            return None, (AFTER, parent)
         raise AssertionError(
             f"abstract successor: unhandled parent {type(parent).__name__}")
 
-    def _branch_end(self, ms: MidState, par: ast.ParStmt,
-                    path: Path, chain: int) -> None:
-        ms.tree[path] = ("done",)
-        par_path = path[:-1]
-        entry = ms.tree.get(par_path)
-        if entry is None or entry[0] != "par" or entry[1] != par.nid:
-            return None  # the composition is gone (killed)
-        rejoins = (par.mode in ("or", "and")
-                   or par.nid in self.bound.value_boundaries)
-        if not rejoins:
-            return None
-        if par.mode == "and":
-            all_done = all(
-                ms.tree.get(par_path + (i,)) == ("done",)
-                for i in range(len(par.blocks)))
-            if not all_done:
-                return None
-        if any(j.kind == "join" and j.path == par_path for j in ms.joinq):
-            return None  # already scheduled this reaction
-        prio = (1, -self.bound.join_depth[par.nid])
-        ms.joinq.append(JoinItem(prio, ms.seq(), "join", par_path,
-                                 (par.nid,), cause=chain))
-        return None
+    def _suspend(self, node: ast.Node, op, arg) -> tuple:
+        """An await (or ``async``): its trail resumes after it."""
+        self._resume[node.nid] = (AFTER, node)
+        return op, arg
 
-    def _enqueue_escape(self, ms: MidState, path: Path, k: int,
-                        target: ast.Node, chain: int) -> None:
-        ms.tree[path] = ("done",)
-        prio = (1, -self.bound.join_depth[target.nid])
-        ms.joinq.append(JoinItem(prio, ms.seq(), "escape", path,
-                                 (k, target), cause=chain))
+    def _escape_to(self, node: ast.Node, target: ast.Node) -> tuple:
+        """Leave ``node`` for the end of ``target``: straight on when no
+        ``par`` is crossed, else an escape (a ``target`` that *is* a par
+        counts as crossed — or-completion)."""
+        k = 0
+        cur = self.bound.parent.get(node.nid)
+        while cur is not None and cur is not target:
+            if isinstance(cur, ast.ParStmt):
+                k += 1
+            cur = self.bound.parent.get(cur.nid)
+        if isinstance(target, ast.ParStmt):
+            k += 1
+        if k == 0:
+            return None, (AFTER, target)
+        return _escape, (k, target)
 
     def _dispatch_join(self, ms: MidState, join: JoinItem) -> None:
         if join.kind == "join":
-            par_nid, = join.payload
+            par, = join.payload
             entry = ms.tree.get(join.path)
-            if entry is None or entry[0] != "par" or entry[1] != par_nid:
+            if entry is None or entry[0] != "par" or entry[1] != par.nid:
                 return
-            node = self._node_by_nid(par_nid)
             self._kill_subtree(ms, join.path)
             ms.tree[join.path] = ("run",)
             chain = ms.chains.new(prio=join.prio, cause=join.cause)
-            ms.stack.append(RunItem(("after", node), join.path, chain))
+            ms.stack.append(((AFTER, par), join.path, chain))
             return
         # escape: the leaf marker must have survived any earlier kill
         if ms.tree.get(join.path) != ("done",):
@@ -467,70 +466,32 @@ class AbstractMachine:
         self._kill_subtree(ms, land)
         ms.tree[land] = ("run",)
         chain = ms.chains.new(prio=join.prio, cause=join.cause)
-        ms.stack.append(RunItem(("after", target), land, chain))
+        ms.stack.append(((AFTER, target), land, chain))
 
-    def _kill_subtree(self, ms: MidState, prefix: Path) -> None:
-        for path in [p for p in ms.tree if p[:len(prefix)] == prefix]:
+    @staticmethod
+    def _kill_subtree(ms: MidState, prefix: Path) -> None:
+        n = len(prefix)
+        for path in [p for p in ms.tree if p[:n] == prefix]:
             del ms.tree[path]
-        ms.joinq = [j for j in ms.joinq
-                    if j.path[:len(prefix)] != prefix]
-        ms.stack = [i for i in ms.stack
-                    if i.path[:len(prefix)] != prefix]
+        ms.joinq = [j for j in ms.joinq if j.path[:n] != prefix]
+        ms.stack = [i for i in ms.stack if i[1][:n] != prefix]
 
-    # ----------------------------------------------------- internal events
-    def _emit_internal(self, ms: MidState, node: ast.EmitInt, path: Path,
-                       chain: int) -> Optional[tuple]:
+    # ------------------------------------------------------------ accesses
+    def _event_key(self, node: ast.Node) -> tuple:
         sym = self.bound.event_of[node.nid]
-        if node.value is not None:
-            self._reads(ms, chain, node.value)
-        self._act(ms, chain, EMIT, ("evt", sym.uid, sym.name), node.span)
-        awaiting = [(p, e) for p, e in sorted(ms.tree.items())
-                    if e[0] == "intl"
-                    and self.bound.event_of[e[1]].uid == sym.uid]
-        if not awaiting:
-            return ("after", node)
-        # stack policy: continuation below, awakened trails on top (LIFO)
-        ms.stack.append(RunItem(("after", node), path, chain))
-        items = []
-        for p, e in awaiting:
-            ms.tree[p] = ("run",)
-            sub_chain = ms.chains.new(prio=ms.chains.prio[chain],
-                                      cause=chain)
-            items.append(RunItem(("after_await", self._node_by_nid(e[1])),
-                                 p, sub_chain))
-        ms.stack.extend(reversed(items))
-        return None
+        return ("evt", sym.uid, sym.name)
 
-    # ------------------------------------------------------------- helpers
-    def _pars_crossed(self, node: ast.Node, target: ast.Node) -> int:
-        """Parallel compositions crossed when escaping `node` → `target`
-        (a target that *is* a par counts as crossed — or-completion)."""
-        k = 0
-        cur = self.bound.parent.get(node.nid)
-        while cur is not None and cur is not target:
-            if isinstance(cur, ast.ParStmt):
-                k += 1
-            cur = self.bound.parent.get(cur.nid)
-        if isinstance(target, ast.ParStmt):
-            k += 1
-        return k
+    def _decl_key(self, declarator: ast.Declarator) -> tuple:
+        sym = self.bound.sym_of_decl[declarator.nid]
+        return ("var", sym.uid, sym.name)
 
-    def _node_by_nid(self, nid: int):
-        cache = getattr(self, "_nid_cache", None)
-        if cache is None:
-            cache = {n.nid: n for n in self.bound.program.walk()}
-            self._nid_cache = cache
-        return cache[nid]
+    def _var_key(self, name: ast.NameInt) -> tuple:
+        sym = self.bound.var_of[name.nid]
+        return ("var", sym.uid, sym.name)
 
-    def _act(self, ms: MidState, chain: int, kind: str, key: tuple,
-             span) -> None:
-        ms.actions.append(Action(chain, kind, key, span))
-
-    def _reads(self, ms: MidState, chain: int, e: ast.Exp) -> None:
-        bound = self.bound
+    def _reads(self, acc: list, e: ast.Exp) -> None:
         if isinstance(e, ast.NameInt):
-            sym = bound.var_of[e.nid]
-            self._act(ms, chain, RD, ("var", sym.uid, sym.name), e.span)
+            acc.append((RD, self._var_key(e), e.span))
             return
         if isinstance(e, ast.NameC):
             return  # bare C global read: harmless
@@ -539,60 +500,158 @@ class AbstractMachine:
         if isinstance(e, ast.Unop):
             if e.op == "&" and isinstance(e.operand, ast.NameInt):
                 # address taken and handed to C: assume it may be written
-                sym = bound.var_of[e.operand.nid]
-                self._act(ms, chain, WR, ("var", sym.uid, sym.name), e.span)
+                acc.append((WR, self._var_key(e.operand), e.span))
                 return
-            self._reads(ms, chain, e.operand)
+            self._reads(acc, e.operand)
             return
         if isinstance(e, ast.Binop):
-            self._reads(ms, chain, e.left)
-            self._reads(ms, chain, e.right)
+            self._reads(acc, e.left)
+            self._reads(acc, e.right)
             return
         if isinstance(e, ast.Index):
-            self._reads(ms, chain, e.base)
-            self._reads(ms, chain, e.index)
+            self._reads(acc, e.base)
+            self._reads(acc, e.index)
             return
         if isinstance(e, ast.CallExp):
             name = _callee_name(e)
             if name is not None:
-                self._act(ms, chain, CALL, ("cfun", name), e.span)
+                acc.append((CALL, ("cfun", name), e.span))
             for a in e.args:
-                self._reads(ms, chain, a)
+                self._reads(acc, a)
             return
         if isinstance(e, ast.FieldAccess):
-            self._reads(ms, chain, e.base)
+            self._reads(acc, e.base)
             return
         if isinstance(e, ast.Cast):
-            self._reads(ms, chain, e.operand)
+            self._reads(acc, e.operand)
             return
 
-    def _write_target(self, ms: MidState, chain: int, target: ast.Exp) -> None:
-        bound = self.bound
+    def _write_target(self, acc: list, target: ast.Exp) -> None:
         if isinstance(target, ast.NameInt):
-            sym = bound.var_of[target.nid]
-            self._act(ms, chain, WR, ("var", sym.uid, sym.name), target.span)
+            acc.append((WR, self._var_key(target), target.span))
             return
         if isinstance(target, ast.NameC):
-            self._act(ms, chain, WR, ("cglobal", target.c_name), target.span)
+            acc.append((WR, ("cglobal", target.c_name), target.span))
             return
         if isinstance(target, ast.Index):
-            self._reads(ms, chain, target.index)
-            self._write_target(ms, chain, target.base)
+            self._reads(acc, target.index)
+            self._write_target(acc, target.base)
             return
         if isinstance(target, ast.FieldAccess):
-            self._write_target(ms, chain, target.base)
+            self._write_target(acc, target.base)
             return
         if isinstance(target, ast.Unop) and target.op == "*":
             if isinstance(target.operand, ast.NameInt):
-                sym = bound.var_of[target.operand.nid]
-                self._act(ms, chain, RD, ("var", sym.uid, sym.name),
-                          target.span)
-                self._act(ms, chain, WR, ("deref", sym.uid, sym.name),
-                          target.span)
+                sym = self.bound.var_of[target.operand.nid]
+                acc.append((RD, ("var", sym.uid, sym.name), target.span))
+                acc.append((WR, ("deref", sym.uid, sym.name), target.span))
             else:
-                self._reads(ms, chain, target.operand)
+                self._reads(acc, target.operand)
             return
-        self._reads(ms, chain, target)
+        self._reads(acc, target)
+
+
+# ------------------------------------------------------------------ ops
+# the step that ends a segment (see :class:`Segment`)
+
+def _leaf(machine: AbstractMachine, ms: MidState, entry: Entry, path: Path,
+          chain: int, worklist: list) -> None:
+    """Suspend on an await, or end the root trail (``entry`` is the
+    configuration entry the trail's path now holds)."""
+    ms.tree[path] = entry
+
+
+def _timer(machine: AbstractMachine, ms: MidState, arg: tuple, path: Path,
+           chain: int, worklist: list) -> None:
+    nid, us = arg
+    ms.tree[path] = ("time", nid, us, ms.timer_epoch)
+
+
+def _fork(machine: AbstractMachine, ms: MidState, arg: tuple, path: Path,
+          chain: int, worklist: list) -> tuple:
+    """An ``if``: the copy takes the other branch, this state goes on
+    into ``then``."""
+    then, other = arg
+    fork = ms.copy()
+    fork.stack.append((other, path, chain))
+    worklist.append(fork)
+    return then
+
+
+def _par(machine: AbstractMachine, ms: MidState, par: ast.ParStmt,
+         path: Path, chain: int, worklist: list) -> None:
+    ms.tree[path] = ("par", par.nid, par.mode)
+    items = []
+    for i, block in enumerate(par.blocks):
+        child_path = path + (i,)
+        ms.tree[child_path] = ("run",)
+        items.append(((ENTER, block), child_path,
+                      ms.chains.new(cause=chain)))
+    ms.stack.extend(reversed(items))
+
+
+def _emit_internal(machine: AbstractMachine, ms: MidState, arg: tuple,
+                   path: Path, chain: int, worklist: list) -> Optional[tuple]:
+    uid, after = arg
+    event_of = machine.bound.event_of
+    awaiting = sorted((p, e) for p, e in ms.tree.items()
+                      if e[0] == "intl" and event_of[e[1]].uid == uid)
+    if not awaiting:
+        return after
+    # stack policy: continuation below, awakened trails on top (LIFO)
+    ms.stack.append((after, path, chain))
+    items = []
+    for p, e in awaiting:
+        ms.tree[p] = ("run",)
+        sub_chain = ms.chains.new(prio=ms.chains.prio[chain], cause=chain)
+        items.append((machine._resume[e[1]], p, sub_chain))
+    ms.stack.extend(reversed(items))
+    return None
+
+
+def _escape(machine: AbstractMachine, ms: MidState, arg: tuple, path: Path,
+            chain: int, worklist: list) -> None:
+    """A ``break`` or ``return`` crossing ``k`` pars: schedule the kill
+    and the landing at the target's join priority."""
+    k, target = arg
+    ms.tree[path] = ("done",)
+    prio = (1, -machine.bound.join_depth[target.nid])
+    ms.joinq.append(JoinItem(prio, ms.seq(), "escape", path, (k, target),
+                             cause=chain))
+
+
+def _branch_end(machine: AbstractMachine, ms: MidState, par: ast.ParStmt,
+                path: Path, chain: int, worklist: list) -> None:
+    ms.tree[path] = ("done",)
+    par_path = path[:-1]
+    entry = ms.tree.get(par_path)
+    if entry is None or entry[0] != "par" or entry[1] != par.nid:
+        return None  # the composition is gone (killed)
+    rejoins = (par.mode in ("or", "and")
+               or par.nid in machine.bound.value_boundaries)
+    if not rejoins:
+        return None
+    if par.mode == "and":
+        all_done = all(
+            ms.tree.get(par_path + (i,)) == ("done",)
+            for i in range(len(par.blocks)))
+        if not all_done:
+            return None
+    if any(j.kind == "join" and j.path == par_path for j in ms.joinq):
+        return None  # already scheduled this reaction
+    prio = (1, -machine.bound.join_depth[par.nid])
+    ms.joinq.append(JoinItem(prio, ms.seq(), "join", par_path, (par,),
+                             cause=chain))
+    return None
+
+
+def _terminate(machine: AbstractMachine, ms: MidState, arg: None,
+               path: Path, chain: int, worklist: list) -> None:
+    """A ``return`` outside every value block ends the program."""
+    ms.terminated = True
+    ms.tree = {(): ("term",)}
+    ms.stack.clear()
+    ms.joinq.clear()
 
 
 def _index_of(seq: list, node: ast.Node) -> int:

@@ -1,10 +1,11 @@
 """Actions, chains and the concurrency/conflict model of the temporal
 analysis (§2.6).
 
-During one abstract reaction chain, every executed access is recorded as an
-:class:`Action` tagged with the *chain* that performed it.  A chain is one
-run-to-halt execution (the abstract counterpart of a track, §4.4).  Two
-chains are **ordered** (deterministically sequenced) when:
+During one abstract reaction, every executed access is recorded as a
+``(chain, (kind, key, span))`` pair: the *chain* that performed it and the
+access template compiled for it.  A chain is one run-to-halt execution (the
+abstract counterpart of a track, §4.4).  Two chains are **ordered**
+(deterministically sequenced) when:
 
 * one transitively *caused* the other — an emitter is ordered before the
   trails its ``emit`` awakes (stack policy, §2.2), and a parent is ordered
@@ -19,11 +20,14 @@ paper's three nondeterminism sources are checked across concurrent pairs:
 * internal events: emit vs. emit, and emit vs. *arming* an await;
 * C calls: any two calls not allowed by ``pure``/``deterministic``
   annotations.
+
+The two sides of each conflict found become :class:`Action` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from ..lang.errors import SourceSpan
@@ -116,32 +120,55 @@ class Conflict:
                 f"{self.trigger})")
 
 
-def _conflicting(a: Action, b: Action, ann: Annotations) -> bool:
-    if a.kind == CALL and b.kind == CALL:
-        return not ann.compatible(a.key[1], b.key[1])
-    if a.key != b.key:
+def _conflicting(kind_a: str, key_a: tuple, kind_b: str, key_b: tuple,
+                 ann: Annotations) -> bool:
+    if kind_a == CALL and kind_b == CALL:
+        return not ann.compatible(key_a[1], key_b[1])
+    if key_a != key_b:
         return False
-    tag = a.key[0]
+    tag = key_a[0]
     if tag in ("var", "deref", "cglobal"):
-        return a.kind == WR or b.kind == WR
+        return kind_a == WR or kind_b == WR
     if tag == "evt":
-        kinds = {a.kind, b.kind}
+        kinds = {kind_a, kind_b}
         return EMIT in kinds and kinds <= {EMIT, ARM}
     return False
 
 
-def find_conflicts(actions: list[Action], chains: ChainSet,
+def find_conflicts(accesses: list[tuple], chains: ChainSet,
                    ann: Annotations, trigger: str,
                    state_index: int) -> list[Conflict]:
-    """All conflicting concurrent pairs in one abstract reaction."""
-    conflicts: list[Conflict] = []
-    n = len(actions)
-    for i in range(n):
-        a = actions[i]
-        for j in range(i + 1, n):
-            b = actions[j]
-            if chains.ordered(a.chain, b.chain):
-                continue
-            if _conflicting(a, b, ann):
-                conflicts.append(Conflict(a, b, trigger, state_index))
-    return conflicts
+    """All conflicting concurrent pairs in one abstract reaction.
+
+    ``accesses`` holds ``(chain, (kind, key, span))`` in the order they
+    ran; the pairs come out in that order, and only their two sides
+    become :class:`Action` objects.  A reaction whose accessing chains
+    are pairwise ordered has none.  Otherwise only accesses that can
+    conflict are compared: two C calls, or two other accesses of one
+    key."""
+    active = {chain for chain, _ in accesses}
+    if all(chains.ordered(a, b) for a, b in combinations(active, 2)):
+        return []
+    groups: dict = {}
+    for i, (_, (kind, key, _)) in enumerate(accesses):
+        # a call can conflict with a call to another function, and no
+        # other kind of access has a ``cfun`` key: all calls are one group
+        groups.setdefault(CALL if kind == CALL else key, []).append(i)
+    pairs = []
+    for group in groups.values():
+        for x, i in enumerate(group):
+            chain_a, (kind_a, key_a, _) = accesses[i]
+            for j in group[x + 1:]:
+                chain_b, (kind_b, key_b, _) = accesses[j]
+                if (not chains.ordered(chain_a, chain_b)
+                        and _conflicting(kind_a, key_a, kind_b, key_b, ann)):
+                    pairs.append((i, j))
+    pairs.sort()
+    return [Conflict(_action(accesses[i]), _action(accesses[j]), trigger,
+                     state_index)
+            for i, j in pairs]
+
+
+def _action(access: tuple) -> Action:
+    chain, (kind, key, span) = access
+    return Action(chain, kind, key, span)

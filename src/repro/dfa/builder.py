@@ -116,10 +116,10 @@ class DfaBuilder:
         internal_uids = {sym.uid for sym in self.bound.events.values()
                          if sym.is_internal}
 
-        def note_emits(actions) -> None:
-            n = sum(1 for a in actions
-                    if a.kind == EMIT and a.key[0] == "evt"
-                    and a.key[1] in internal_uids)
+        def note_emits(accesses) -> None:
+            n = sum(1 for _, (kind, key, _) in accesses
+                    if kind == EMIT and key[0] == "evt"
+                    and key[1] in internal_uids)
             if n > dfa.max_internal_emits:
                 dfa.max_internal_emits = n
 
@@ -134,11 +134,11 @@ class DfaBuilder:
 
         # boot is itself a transition: a virtual pre-state feeds it
         worklist: list[int] = []
-        for config, actions, chains in self.machine.boot():
-            conflicts = find_conflicts(actions, chains,
+        for config, accesses, chains in self.machine.boot():
+            conflicts = find_conflicts(accesses, chains,
                                        self.bound.annotations, "boot", 0)
             dfa.conflicts.extend(conflicts)
-            note_emits(actions)
+            note_emits(accesses)
             idx, fresh = intern(config)
             dfa.edges.append((-1, "boot", idx))
             if fresh:
@@ -152,12 +152,12 @@ class DfaBuilder:
                     f"conversion is exponential in the worst case (§6)")
             src = worklist.pop(0)
             for trigger, results in self._fire_all(dfa.states[src].config):
-                for config, actions, chains in results:
+                for config, accesses, chains in results:
                     conflicts = find_conflicts(
-                        actions, chains, self.bound.annotations, trigger,
+                        accesses, chains, self.bound.annotations, trigger,
                         src)
                     dfa.conflicts.extend(conflicts)
-                    note_emits(actions)
+                    note_emits(accesses)
                     idx, fresh = intern(config)
                     dfa.edges.append((src, trigger, idx))
                     if fresh:

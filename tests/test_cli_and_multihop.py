@@ -86,6 +86,16 @@ class TestCli:
         assert main(["dot", ceu_file(BAD)]) == 1
         assert "witness" in capsys.readouterr().err
 
+    def test_dot_refuses_a_tight_loop_before_the_dfa(self, ceu_file, capsys):
+        """The §2.5 check runs first, as for `repro c`: the abstract
+        machine never forks its way around the loop."""
+        src = "int x = 0;\nloop do\nif x then\nx = 1;\nend\nend\n"
+        assert main(["dot", ceu_file(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, = captured.err.splitlines()
+        assert "tight loop: loop body has a path with neither" in line
+
     def test_layout(self, ceu_file, capsys):
         assert main(["layout", ceu_file(GOOD)]) == 0
         out = capsys.readouterr().out

@@ -1,12 +1,20 @@
 """Temporal analysis (§2.6): the paper's acceptance/refusal suite for
 variables, internal events and C calls, plus DFA structure checks."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.dfa import build_dfa, check_determinism
+from repro.fuzz.gen import PROFILES, generate_case
 from repro.lang import parse
-from repro.lang.errors import NondeterminismError
+from repro.lang.ast import renumber
+from repro.lang.errors import (AnalysisBudgetExceeded, BindError,
+                               NondeterminismError)
 from repro.sema import bind
+
+ROOT = Path(__file__).parent.parent
 
 
 def dfa_of(src: str, **kw):
@@ -25,6 +33,57 @@ def accept(src: str):
     dfa = dfa_of(src)
     assert not dfa.conflicts, dfa.conflicts[0].message()
     return dfa
+
+
+#: the repo's programs, analysed under the names ``repro lint`` sessions
+#: give them (a span's file name is part of every conflict)
+LINT_DIRS = (("examples/ceu", "examples/ceu/"), ("tests/corpus", "corpus/"),
+             ("src/repro/apps/ceu", "apps/ceu/"))
+
+#: SHA-256 over the exact DFAs of each group: the repo's programs that
+#: bind (22 of 23), and seeds 0-19 of every fuzz profile
+DFA_DIGESTS = {
+    "lint": "0a084a55e9a3809c3b796025220a1afbee4756773ffcdbe196e2317d61974edd",
+    "diff": "b51d6ae0226689d9aa924d4db1df08f6bca6da368f4aeb7f4053a2101737f52f",
+    "deep": "f2fbd7ebdfb06c98bc763547bb8a73e28905130553d2f9db03dd06cd82febb6c",
+    "emit": "1eefe311aaab3e52870c7b1da444e6728d49147fbb1f608d5a41b53db0121459",
+    "timer": "aa71716ebed43a4e368f291373903ac69850deaec7feab46cfdf53206bd11e0b",
+    "prio": "e2b207d57426e134c973758b6d60fef9b4db436a4d27b657f6112add3847889c",
+}
+
+
+def _group_sources(group: str):
+    if group == "lint":
+        for rel, prefix in LINT_DIRS:
+            for path in sorted((ROOT / rel).glob("*.ceu")):
+                yield prefix + path.name, path.read_text()
+        return
+    for seed in range(20):
+        yield "<ceu>", generate_case(seed, PROFILES[group], group).src
+
+
+def _dfa_structure(dfa) -> tuple:
+    def action(a):
+        return a.chain, a.kind, a.key, a.span
+    return ([(s.index, s.config, s.terminal) for s in dfa.states],
+            dfa.edges,
+            [(action(c.first), action(c.second), c.trigger, c.state_index)
+             for c in dfa.conflicts],
+            dfa.max_internal_emits)
+
+
+def group_digest(group: str) -> str:
+    digest = hashlib.sha256()
+    for filename, src in _group_sources(group):
+        program = parse(src, filename)
+        renumber(program)
+        try:
+            bound = bind(program)
+        except BindError:
+            continue
+        structure = _dfa_structure(build_dfa(bound))
+        digest.update(repr((filename, structure)).encode())
+    return digest.hexdigest()
 
 
 class TestVariableConflicts:
@@ -373,3 +432,14 @@ class TestDfaStructure:
         """)
         assert dfa.state_count() >= 3
         assert dfa.transition_count() >= dfa.state_count()
+
+    def test_tight_loop_names_the_missing_await(self):
+        with pytest.raises(AnalysisBudgetExceeded, match="await"):
+            dfa_of("int x = 0;\nloop do\nx = x + 1;\nend")
+
+    @pytest.mark.parametrize("group", ["lint", *PROFILES])
+    def test_exact_structure_is_pinned(self, group):
+        """States, edges, both sides of every conflict and the emit bound
+        are byte-identical to the digests minted for them."""
+        assert group_digest(group) == DFA_DIGESTS[group]
+

@@ -193,15 +193,23 @@ def test_lines_end_only_at_newline(sep, tmp_path, capsys):
     assert an.stats["full_runs"] == 1
 
     # the conflict is anchored on the changed line, `x = 4`
-    racy = f"// smoke{sep}// feed\n{RACY}"
+    racy = f"// smoke{sep}feed\n{RACY}"
     base = tmp_path / "base.ceu"
     new = tmp_path / "new.ceu"
-    base.write_text(racy, newline="")
-    new.write_text(racy.replace("x = 3", "x = 4"), newline="")
+    base.write_text(racy, encoding="utf-8", newline="")
+    new.write_text(racy.replace("x = 3", "x = 4"), encoding="utf-8",
+                   newline="")
     assert main(["lint", str(new), "--diff-base", str(base),
                  "--format", "json"]) == 0
     found = json.loads(capsys.readouterr().out)["diagnostics"]
     assert [d["code"] for d in found] == ["CEU-E201"]
+
+    # the CLI reads the file's characters as written: `feed` stays in
+    # the comment, as it does for an editor's LSP session
+    assert main(["lint", str(new), "--format", "json"]) == 0
+    found = json.loads(capsys.readouterr().out)["diagnostics"]
+    report = run_analysis(new.read_bytes().decode("utf-8"), str(new))
+    assert [d["code"] for d in found] == [d.code for d in report.sorted()]
 
 
 def test_grouped_statements_repair_in_place():
