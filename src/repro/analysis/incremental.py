@@ -26,15 +26,20 @@ How an edit is processed
    own statements, recursively.  Statements whose extents overlap (two
    on one line, a block comment joining them) form a *group*, kept or
    re-parsed as a unit.  A group whose whole extent lands inside one
-   equal block of the diff *survives*: its ASTs, signatures and memos
-   are kept, with every span shifted by a constant ``(dline,
-   doffset)``.  A damaged group of one compound statement whose frame
-   lines (the literal runs: ``loop``/``if``/``par`` headers, ``with``,
-   ``else``, ``end``) all survived is **descended** into: each child
-   block is repaired the same way within its own window, the lines
-   strictly between the frame's.  The remaining gap lines are re-lexed
-   and re-parsed standalone.  A mid-file keystroke inside a 200-line
-   ``loop`` thus re-parses a handful of lines, not the loop.
+   equal block of the diff *survives*: its nodes, signatures and memos
+   are kept as they are.  A damaged group of one compound statement
+   whose frame (the literal runs: ``loop``/``if``/``par`` headers,
+   ``with``, ``else``, ``end``, with the statement's first and last
+   extent lines) survived piece by piece is **descended** into: each
+   child block is repaired the same way within its own window, the
+   lines strictly between the frame's.  The remaining gap lines are
+   re-lexed and re-parsed standalone.  A mid-file keystroke inside a
+   200-line ``loop`` thus re-parses a handful of lines, not the loop.
+   A position points at the :class:`~repro.lang.errors.Line` it was
+   lexed on.  Once the repair succeeds, each kept line is renumbered
+   through the diff and each gap's lines move by the gap's start;
+   until then kept lines carry old numbers, so nothing compares
+   positions, and ``analyze()`` returns a report detached from them.
 3. Extents are closed over multi-line block comments (a comment never
    straddles a group boundary), which makes standalone parsing of any
    gap equivalent to the full lex.  A parse failure, or a damaged group
@@ -51,9 +56,9 @@ How an edit is processed
 5. The whole-program DFA passes re-run only when the program's token
    signature actually changed: on an identical token stream (an edit to
    comments/whitespace) every DFA-derived diagnostic — conflicts with
-   witnesses, stuck states, resource bounds — replays with rebased
-   spans; when only ``NUM`` literals changed and the cached run had no
-   conflicts the DFA is replayed too (the automaton is
+   witnesses, stuck states, resource bounds — replays at the current
+   spans of its nodes; when only ``NUM`` literals changed and the
+   cached run had no conflicts the DFA is replayed too (the automaton is
    literal-independent; only witness realization is value-sensitive),
    though the bounds recompute (array sizes live in NUM literals) and,
    with the edited text's signature, replace the memoized ones.
@@ -68,10 +73,9 @@ from typing import Optional
 
 from ..dfa.actions import Conflict
 from ..lang import ast
-from ..lang.errors import CeuError, SourcePos, SourceSpan
+from ..lang.errors import CeuError, Line, SourceSpan
 from ..lang.lexer import Lexer, split_lines
 from ..lang.parser import Parser
-from ..lang.rebase import shift_span, shift_subtree
 from ..lang.tokens import TokKind, Token
 from ..codegen.memlayout import HOST, TARGET16, build_layout
 from ..sema import bind
@@ -131,19 +135,19 @@ def _close_extent(lo: int, hi: int,
     return lo, hi
 
 
-def _line_starts(lines: list[str]) -> list[int]:
-    """Offset of each 1-based line (``[0]`` unused; one past the last
-    line is the length of the text)."""
-    starts = [0, 0]
-    for line in lines:
-        starts.append(starts[-1] + len(line))
-    return starts
-
-
 def _copy_diag(diag: Diagnostic) -> Diagnostic:
     return Diagnostic(code=diag.code, message=diag.message, span=diag.span,
                       notes=list(diag.notes), witness=diag.witness,
                       data=diag.data)
+
+
+def _detach(report: Report) -> Report:
+    """``report`` on lines of its own, which the next edit's renumbering
+    does not move."""
+    for diag in report.diagnostics:
+        diag.span = diag.span.detached()
+        diag.notes = [(label, span.detached()) for label, span in diag.notes]
+    return report
 
 
 @dataclass
@@ -154,16 +158,17 @@ class _Entry:
     ``template`` (compound statements only) is the statement's token
     stream split into literal runs and child-block slots, e.g. a
     ``loop`` is ``[lit("loop do"), blk(0), lit("end")]``.  Literal
-    segments are mutable lists ``["lit", raw, masked, line_lo,
-    line_hi]`` (lines ``None`` when the run is empty); block slots are
-    ``["blk", index]`` into :attr:`blocks`.  By construction the
-    template always alternates lit/blk/lit/…, so every block slot has a
-    literal neighbour on both sides — those neighbours' lines are the
-    *frame* that must survive an edit for the descent to be legal."""
+    segments are lists ``["lit", raw, masked, line_lo, line_hi]`` (the
+    :class:`Line` of the run's first and last token, ``None`` when the
+    run is empty); block slots are ``["blk", index]`` into
+    :attr:`blocks`.  By construction the template always alternates
+    lit/blk/lit/…, so every block slot has a literal neighbour on both
+    sides — those neighbours' lines are the *frame* that must survive an
+    edit for the descent to be legal."""
 
     stmt: ast.Stmt
-    lo: int                            # 1-based comment-closed extent
-    hi: int
+    lo: Line                           # comment-closed extent
+    hi: Line
     raw: tuple                         # token signature of the extent
     masked: tuple
     template: Optional[list] = None
@@ -211,11 +216,12 @@ def _groups(entries: list[_Entry]) -> list[list]:
     order, so one pass finds every run."""
     groups: list[list] = []
     for entry in entries:
-        if groups and entry.lo <= groups[-1][1]:
-            groups[-1][1] = max(groups[-1][1], entry.hi)
+        lo, hi = entry.lo.number, entry.hi.number
+        if groups and lo <= groups[-1][1]:
+            groups[-1][1] = max(groups[-1][1], hi)
             groups[-1][2].append(entry)
         else:
-            groups.append([entry.lo, entry.hi, [entry]])
+            groups.append([lo, hi, [entry]])
     return groups
 
 
@@ -242,14 +248,19 @@ class IncrementalAnalyzer:
         }
         self._primed = False
         #: True when the last splice changed the program's *structure*
-        #: (statement objects added/removed) as opposed to only shifting
-        #: surviving subtrees — a pure-shift edit keeps nids, the walk
+        #: (statement objects added/removed) as opposed to only moving
+        #: surviving statements — a pure-move edit keeps nids, the walk
         #: list and the binder tables valid
         self._struct_dirty = True
         self._nodes: Optional[list] = None
         self._source: Optional[str] = None
         self._lines: list[str] = []
-        self._line_starts: list[int] = []          # 1-based, [0] unused
+        #: the current text's :class:`Line` objects (``[k - 1]`` is line
+        #: ``k``), which the positions of the kept tree point at
+        self._line_table: list[Line] = []
+        #: ``(lo, hi, lines)`` of every gap the running repair re-parsed,
+        #: in parse order
+        self._gaps: list[tuple] = []
         self._program: Optional[ast.Program] = None
         self._body: Optional[_BlockNode] = None
         self._dfa_memo: Optional[_DfaMemo] = None
@@ -263,14 +274,14 @@ class IncrementalAnalyzer:
         self.stats["analyses"] += 1
         if self._primed:
             try:
-                return self._analyze_spliced(source)
+                return _detach(self._analyze_spliced(source))
             except _Fallback:
                 self.stats["full_fallbacks"] += 1
             except Exception:
                 # the fast path must never be less correct than cold,
                 # but an unplanned failure is a bug, not a fallback
                 self.stats["fast_path_errors"] += 1
-        return self._analyze_cold(source)
+        return _detach(self._analyze_cold(source))
 
     # --------------------------------------------------------- cold path
     def _analyze_cold(self, source: str) -> Report:
@@ -279,7 +290,7 @@ class IncrementalAnalyzer:
         self._struct_dirty = True
         report = Report(filename=self.filename)
         try:
-            program, entries = self._parse(source)
+            program, entries, table = self._parse(source)
         except CeuError as err:
             front_end_error(report, err)
             self._source = source
@@ -287,42 +298,44 @@ class IncrementalAnalyzer:
             return report
         self._program = program
         self._body = _BlockNode(program.body, entries)
-        lines = split_lines(source)
-        self._install(source, lines, _line_starts(lines))
+        self._install(source, split_lines(source), table)
         return self._pipeline(report)
 
     def _install(self, source: str, lines: list[str],
-                 starts: list[int]) -> None:
+                 table: list[Line]) -> None:
         self._source = source
         self._lines = lines
-        self._line_starts = starts
+        self._line_table = table
         self._primed = True
 
     # ------------------------------------------------------- entry build
-    def _parse(self, text: str) -> tuple[ast.Program, list[_Entry]]:
-        """Lex and parse ``text`` on its own, and build the entries of
-        its body (raises :class:`CeuError`)."""
+    def _parse(self, text: str
+               ) -> tuple[ast.Program, list[_Entry], list[Line]]:
+        """Lex and parse ``text`` on its own: the program, the entries of
+        its body and the lexer's line table (raises :class:`CeuError`)."""
         lexer = Lexer(text, self.filename)
         toks = list(lexer.tokens())
         parser = Parser(text, self.filename, tokens=toks,
                         track_extents=True)
         program = parser.parse_program()
-        return program, self._build_entries(program.body, toks, parser,
-                                            _comment_ranges(lexer))
+        entries = self._build_entries(program.body, toks, parser,
+                                      _comment_ranges(lexer), lexer.lines)
+        return program, entries, lexer.lines
 
     def _build_entries(self, block: ast.Block, toks: list[Token],
-                       parser: Parser, comments: list[tuple[int, int]]
-                       ) -> list[_Entry]:
-        return [self._build_entry(stmt, s, e, toks, parser, comments)
+                       parser: Parser, comments: list[tuple[int, int]],
+                       table: list[Line]) -> list[_Entry]:
+        return [self._build_entry(stmt, s, e, toks, parser, comments, table)
                 for stmt, s, e in parser.block_marks[id(block)]]
 
     def _build_entry(self, stmt: ast.Stmt, s: int, e: int,
                      toks: list[Token], parser: Parser,
-                     comments: list[tuple[int, int]]) -> _Entry:
+                     comments: list[tuple[int, int]],
+                     table: list[Line]) -> _Entry:
         chunk = toks[s:e]
         lo, hi = _close_extent(chunk[0].span.start.line,
                                chunk[-1].span.end.line, comments)
-        entry = _Entry(stmt=stmt, lo=lo, hi=hi,
+        entry = _Entry(stmt=stmt, lo=table[lo - 1], hi=table[hi - 1],
                        raw=_vals(chunk), masked=_vals(chunk, masked=True))
         cands = []
         for node in stmt.walk():
@@ -343,7 +356,7 @@ class IncrementalAnalyzer:
             template.append(self._lit_seg(toks, pos, bs))
             template.append(["blk", len(blocks)])
             blocks.append(_BlockNode(blk, self._build_entries(
-                blk, toks, parser, comments)))
+                blk, toks, parser, comments, table)))
             pos = be
         template.append(self._lit_seg(toks, pos, e))
         entry.template = template
@@ -355,7 +368,7 @@ class IncrementalAnalyzer:
         chunk = toks[a:b]
         if chunk:
             return ["lit", _vals(chunk), _vals(chunk, masked=True),
-                    chunk[0].span.start.line, chunk[-1].span.end.line]
+                    chunk[0].span.start.at, chunk[-1].span.end.at]
         return ["lit", (), (), None, None]
 
     @staticmethod
@@ -384,15 +397,38 @@ class IncrementalAnalyzer:
         for a, b, size in matcher.get_matching_blocks():
             for k in range(size):
                 line_map[a + k + 1] = b + k + 1
-        new_starts = _line_starts(new_lines)
 
         self._struct_dirty = False
+        self._gaps = []
         if not self._recover_block(self._body, 1, len(new_lines), line_map,
-                                   new_lines, new_starts, _TOP_KEYS):
+                                   new_lines, _TOP_KEYS):
             raise _Fallback("the program body cannot be repaired")
         self._program.span = self._program.body.span
-        self._install(source, new_lines, new_starts)
+        self._install(source, new_lines,
+                      self._renumber(line_map, new_lines))
         return self._pipeline(Report(filename=self.filename))
+
+    def _renumber(self, line_map: dict[int, int],
+                  new_lines: list[str]) -> list[Line]:
+        """Move the repaired tree's lines to the new text and return its
+        line table: kept lines go where the diff maps them, gap lines
+        down by their gap's start.  A gap parsed by a repair that failed
+        lies inside a gap parsed later, which overwrites it."""
+        starts = [0]
+        for line in new_lines:
+            starts.append(starts[-1] + len(line))
+        table: list = [None] * len(new_lines)
+        old = self._line_table
+        for a, b in line_map.items():
+            line = old[a - 1]
+            line.number, line.start = b, starts[b - 1]
+            table[b - 1] = line
+        for lo, hi, lines in self._gaps:
+            for line in lines[:hi - lo + 1]:
+                line.number += lo - 1
+                line.start += starts[lo - 1]
+                table[line.number - 1] = line
+        return table
 
     @staticmethod
     def _extent_survives(lo: int, hi: int,
@@ -403,66 +439,23 @@ class IncrementalAnalyzer:
         return all(line_map.get(l) == base + (l - lo)
                    for l in range(lo + 1, hi + 1))
 
-    # --------------------------------------------------------- shifting
-    def _shift_entry(self, entry: _Entry, dline: int, doff: int,
-                     shift_ast: bool = True) -> None:
-        """Move an entry (extents, template lines, memoized diagnostics,
-        recursively its children) by a constant delta; ``shift_ast``
-        shifts the AST subtree too — ``False`` for nested entries, whose
-        nodes are already covered by the parent's ``shift_subtree``."""
-        if dline == 0 and doff == 0:
-            return
-        if shift_ast:
-            shift_subtree(entry.stmt, dline, doff)
-        entry.lo += dline
-        entry.hi += dline
-        if entry.template is not None:
-            for seg in entry.template:
-                if seg[0] == "lit" and seg[3] is not None:
-                    seg[3] += dline
-                    seg[4] += dline
-        for bnode in entry.blocks:
-            for child in bnode.entries:
-                self._shift_entry(child, dline, doff, shift_ast=False)
-        if entry.bounded is not None:
-            for diag in entry.bounded[2]:
-                diag.span = shift_span(diag.span, dline, doff)
-                diag.notes = [(label, shift_span(span, dline, doff))
-                              for label, span in diag.notes]
-
-    def _map_span(self, span: SourceSpan, line_map: dict[int, int],
-                  new_starts: list[int]) -> SourceSpan:
-        """Rebase a span whose endpoint *lines* survived the diff but
-        may have moved by different amounts (content between them was
-        repaired)."""
-        def mp(pos: SourcePos) -> SourcePos:
-            nl = line_map[pos.line]
-            return SourcePos(nl, pos.col, pos.offset
-                             + (new_starts[nl]
-                                - self._line_starts[pos.line]))
-        return SourceSpan(mp(span.start), mp(span.end), span.filename)
-
     # ------------------------------------------------- damage recovery
     def _recover_block(self, bnode: _BlockNode, win_lo: int, win_hi: int,
                        line_map: dict[int, int], new_lines: list[str],
-                       new_starts: list[int], keys: tuple) -> bool:
+                       keys: tuple) -> bool:
         """Repair one block within its new line window ``[win_lo,
-        win_hi]``: shift the groups that survived, descend into a
-        damaged group of one compound statement, re-parse the remaining
-        gap lines.  ``keys`` names the ``stats`` counters of the level.
+        win_hi]``: keep the groups that survived, descend into a damaged
+        group of one compound statement, re-parse the remaining gap
+        lines.  ``keys`` names the ``stats`` counters of the level.
         Returns ``False`` when the damage cannot be contained at this
         level; the half-repaired entries are then unreachable."""
         reused, repaired, reparsed = keys
         kept: list[tuple] = []         # (lo, hi, entries) in the new text
         for lo, hi, group in _groups(bnode.entries):
             if self._extent_survives(lo, hi, line_map):
-                dline = line_map[lo] - lo
-                doff = new_starts[line_map[lo]] - self._line_starts[lo]
-                for entry in group:
-                    self._shift_entry(entry, dline, doff)
                 self.stats[reused] += 1
             elif len(group) == 1 and self._descend(group[0], line_map,
-                                                   new_lines, new_starts):
+                                                   new_lines):
                 self.stats[repaired] += 1
             elif (line_map.get(lo, win_lo) < win_lo
                   or line_map.get(hi, win_hi) > win_hi):
@@ -479,8 +472,7 @@ class IncrementalAnalyzer:
         cursor = win_lo
         for lo, hi, group in kept + [(win_hi + 1, win_hi, [])]:
             if cursor < lo:
-                got = self._parse_gap(cursor, lo - 1, new_lines,
-                                      new_starts)
+                got = self._parse_gap(cursor, lo - 1, new_lines)
                 if got is None:
                     return False
                 self.stats[reparsed] += len(_groups(got))
@@ -491,83 +483,56 @@ class IncrementalAnalyzer:
             return False               # an empty block does not round-trip
         bnode.entries = entries
         bnode.block.stmts = [entry.stmt for entry in entries]
-        bnode.block.span = entries[0].stmt.span.merge(entries[-1].stmt.span)
+        # as the parser's merge picks them, without comparing positions:
+        # kept statements still carry their old line numbers
+        first, last = entries[0].stmt.span, entries[-1].stmt.span
+        bnode.block.span = SourceSpan(first.start, last.end, first.filename)
         return True
 
     def _descend(self, entry: _Entry, line_map: dict[int, int],
-                 new_lines: list[str], new_starts: list[int]) -> bool:
-        """Repair damage *inside* a compound statement whose frame (the
-        literal token runs between child blocks) survived: recover each
-        child block within its own window, then rebase the frame nodes
-        line by line."""
+                 new_lines: list[str]) -> bool:
+        """Repair damage *inside* a compound statement whose frame
+        survived: each literal run moved as one piece, the first from
+        the statement's first extent line and the last to its last one
+        (then every new line of the statement is a frame line or in a
+        child block's window).  Recover each child block within its
+        window."""
         if not entry.blocks:
             return False
-        if entry.lo not in line_map or entry.hi not in line_map:
+        frame = [[seg[3], seg[4]] for seg in entry.template
+                 if seg[0] == "lit"]
+        if any(lo is None for lo, _hi in frame):
+            return False               # no line to anchor a window on
+        frame[0][0], frame[-1][1] = entry.lo, entry.hi
+        if not all(self._extent_survives(lo.number, hi.number, line_map)
+                   for lo, hi in frame):
             return False
-        for seg in entry.template:
-            if seg[0] == "lit" and seg[3] is not None:
-                for line in range(seg[3], seg[4] + 1):
-                    if line not in line_map:
-                        return False
         for idx, seg in enumerate(entry.template):
             if seg[0] != "blk":
                 continue
-            prev = entry.template[idx - 1]
-            nxt = entry.template[idx + 1]
-            if prev[3] is None or nxt[3] is None:
-                return False           # no line to anchor the window on
             if not self._recover_block(
-                    entry.blocks[seg[1]], line_map[prev[4]] + 1,
-                    line_map[nxt[3]] - 1, line_map, new_lines, new_starts,
-                    _NESTED_KEYS):
+                    entry.blocks[seg[1]],
+                    line_map[entry.template[idx - 1][4].number] + 1,
+                    line_map[entry.template[idx + 1][3].number] - 1,
+                    line_map, new_lines, _NESTED_KEYS):
                 return False
-        # frame nodes: everything in the statement's subtree that is not
-        # inside a child block; their endpoint lines all survived, but
-        # possibly with different deltas, so rebase per line.  The
-        # traversal prunes at child-block roots, so its cost is the
-        # frame size, not the subtree size.
-        block_ids = {id(bnode.block) for bnode in entry.blocks}
-        frame: list[ast.Node] = []
-        stack: list[ast.Node] = [entry.stmt]
-        while stack:
-            node = stack.pop()
-            frame.append(node)
-            for child in node.children():
-                if id(child) not in block_ids:
-                    stack.append(child)
-        for node in frame:
-            span = node.span
-            if span.start.line == 0:
-                continue               # unknown span: leave untouched
-            if (span.start.line not in line_map
-                    or span.end.line not in line_map):
-                return False
-        for node in frame:
-            if node.span.start.line == 0:
-                continue
-            node.span = self._map_span(node.span, line_map, new_starts)
-        for seg in entry.template:
-            if seg[0] == "lit" and seg[3] is not None:
-                seg[3] = line_map[seg[3]]
-                seg[4] = line_map[seg[4]]
-        entry.lo = line_map[entry.lo]
-        entry.hi = line_map[entry.hi]
         entry.bounded = None
         self._resig(entry)
         return True
 
-    def _parse_gap(self, lo: int, hi: int, new_lines: list[str],
-                   new_starts: list[int]) -> Optional[list[_Entry]]:
+    def _parse_gap(self, lo: int, hi: int,
+                   new_lines: list[str]) -> Optional[list[_Entry]]:
         """Entries of the new lines ``[lo, hi]`` parsed on their own, or
-        ``None`` when they do not parse."""
+        ``None`` when they do not parse.  Their positions count from the
+        gap's first line until :meth:`_renumber` moves them."""
         try:
-            _program, entries = self._parse("".join(new_lines[lo - 1:hi]))
+            _program, entries, lines = self._parse(
+                "".join(new_lines[lo - 1:hi]))
         except CeuError:
             return None
         if entries:
             self._struct_dirty = True
-        for entry in entries:
-            self._shift_entry(entry, lo - 1, new_starts[lo])
+        self._gaps.append((lo, hi, lines))
         return entries
 
     # ---------------------------------------------------------- pipeline
@@ -579,9 +544,9 @@ class IncrementalAnalyzer:
         program = self._program
         if (not self._struct_dirty and self._nodes is not None
                 and self.last_bound is not None):
-            # pure-shift edit: same statement objects in the same order,
+            # pure-move edit: same statement objects in the same order,
             # so nids, the walk list and every binder table still hold
-            # (spans were rebased in place)
+            # (their lines were renumbered)
             nodes = self._nodes
             bound = self.last_bound
             report.stages.append("parse")

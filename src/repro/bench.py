@@ -90,6 +90,10 @@ FLAT_WAKES = 2_000
 LEAK_EARLY = 1_000
 LEAK_LATE = 10_000
 LEAK_WINDOW = 500
+#: fewest windows timed per flatness rate, interleaved with the other
+#: rates' windows; a rate is the best of its windows, so one host stall
+#: slows one window and moves no ratio
+FLAT_WINDOWS = 3
 
 #: the leak program: every iteration kills the trails awaiting
 #: ``forever`` and ``B``, which must leave their gates at once (§4.3)
@@ -241,25 +245,26 @@ def _rate(program: Program, events: int) -> float:
 
 
 def bench_flatness(repeats: int = 3) -> dict:
-    """Bookkeeping flatness: best-of-``repeats`` rates of a reaction that
-    wakes 1 of N idle trails, and of :data:`LEAK_PROGRAM` over
-    :data:`LEAK_WINDOW` ``A`` after :data:`LEAK_EARLY` and after
-    :data:`LEAK_LATE` iterations.  Both ratios are held to
-    :data:`FLAT_FLOOR` by :func:`check_regression`."""
+    """Bookkeeping flatness: rates of a reaction that wakes 1 of N idle
+    trails, and of :data:`LEAK_PROGRAM` over :data:`LEAK_WINDOW` ``A`` in
+    one copy aged :data:`LEAK_EARLY` iterations and one aged
+    :data:`LEAK_LATE`.  Every rate is the best of ``max(repeats,
+    FLAT_WINDOWS)`` windows, interleaved with the other rates' windows.
+    Both ratios are held to :data:`FLAT_FLOOR` by
+    :func:`check_regression`."""
     programs = {n: Program(make_idle(n)) for n in FLAT_TRAILS}
-    for program in programs.values():
+    young, aged = Program(LEAK_PROGRAM), Program(LEAK_PROGRAM)
+    for program in (*programs.values(), young, aged):
         program.start()
+    _rate(young, LEAK_EARLY)
+    _rate(aged, LEAK_LATE)
     wake = dict.fromkeys(FLAT_TRAILS, 0.0)
     early = late = 0.0
-    for _ in range(repeats):
+    for _ in range(max(repeats, FLAT_WINDOWS)):
         for n, program in programs.items():
             wake[n] = max(wake[n], _rate(program, FLAT_WAKES))
-        leak = Program(LEAK_PROGRAM)
-        leak.start()
-        _rate(leak, LEAK_EARLY)
-        early = max(early, _rate(leak, LEAK_WINDOW))
-        _rate(leak, LEAK_LATE - LEAK_EARLY - LEAK_WINDOW)
-        late = max(late, _rate(leak, LEAK_WINDOW))
+        early = max(early, _rate(young, LEAK_WINDOW))
+        late = max(late, _rate(aged, LEAK_WINDOW))
     few, many = FLAT_TRAILS[0], FLAT_TRAILS[-1]
     return {
         "workload": {"trails": list(FLAT_TRAILS), "wakes": FLAT_WAKES,

@@ -46,8 +46,10 @@ chain runs one segment per await or fork, and records each access as a
 ``(chain, template)`` pair; :func:`~repro.dfa.actions.find_conflicts`
 builds :class:`~repro.dfa.actions.Action` objects only for a conflict's
 two sides.  Segments live on one build's machine, never on the bound
-program, because the incremental analyzer rebases spans in place between
-builds.  A segment that comes back to a cursor it passed is a loop with
+program, though the incremental analyzer now keeps a kept statement's
+nodes and spans as they are (it renumbers their lines), so they could be
+cached per statement across edits.  A segment or a run (see
+:meth:`AbstractMachine._run`) that comes back to a cursor is a loop with
 no await in it (§2.5): the tight-loop refusal, found at once.
 """
 
@@ -271,9 +273,12 @@ class AbstractMachine:
     def _run(self, ms: MidState, cursor: tuple, path: Path, chain: int,
              worklist: list) -> None:
         """Advance one chain a segment at a time until it suspends or
-        ends (forks go to the worklist)."""
+        ends (forks go to the worklist).  Only a fork and an internal
+        emit that wakes nobody go on, and neither changes the
+        configuration: coming back to a cursor would loop for ever."""
         segments = self._segments
         steps = 0
+        seen = None                    # cursors the run went on at
         while cursor is not None:
             seg = segments.get(cursor) or self._compile(cursor)
             steps += seg.steps
@@ -283,6 +288,12 @@ class AbstractMachine:
                 ms.accesses.extend(zip(itertools.repeat(chain),
                                        seg.accesses))
             cursor = seg.op(self, ms, seg.arg, path, chain, worklist)
+            if cursor is not None:
+                if seen is None:
+                    seen = set()
+                elif cursor in seen:
+                    raise AnalysisBudgetExceeded(TIGHT_LOOP)
+                seen.add(cursor)
 
     # ------------------------------------------------------------ compiler
     def _compile(self, cursor: tuple) -> Segment:

@@ -10,19 +10,53 @@ original Céu compiler.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 
-@dataclass(frozen=True, slots=True)
-class SourcePos:
-    """A position inside a source buffer (1-based line/column)."""
+class Line:
+    """One line of a source text: its 1-based ``number`` and ``start``,
+    the offset of its first character.  The lexer gives each line of its
+    input one ``Line`` and every position on the line points at it, so
+    renumbering the line (as the incremental analyzer does to the lines
+    an edit kept) moves them all."""
 
-    line: int
-    col: int
-    offset: int = 0
+    __slots__ = ("number", "start")
+
+    def __init__(self, number: int, start: int) -> None:
+        self.number = number
+        self.start = start
+
+
+class SourcePos:
+    """A position inside a source buffer: a 1-based column on a
+    :class:`Line`, through which ``line`` and ``offset`` are read."""
+
+    __slots__ = ("at", "col")
+
+    def __init__(self, at: Line, col: int) -> None:
+        self.at = at
+        self.col = col
+
+    line = property(attrgetter("at.number"))
+    offset = property(lambda self: self.at.start + self.col - 1)
+
+    def _key(self) -> tuple:
+        return (self.at.number, self.col, self.offset)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SourcePos:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "SourcePos(line=%d, col=%d, offset=%d)" % self._key()
 
     def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"{self.line}:{self.col}"
+        return f"{self.at.number}:{self.col}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +70,7 @@ class SourceSpan:
     @staticmethod
     def point(line: int, col: int, offset: int = 0,
               filename: str = "<ceu>") -> "SourceSpan":
-        pos = SourcePos(line, col, offset)
+        pos = SourcePos(Line(line, offset - col + 1), col)
         return SourceSpan(pos, pos, filename)
 
     def merge(self, other: "SourceSpan") -> "SourceSpan":
@@ -44,6 +78,12 @@ class SourceSpan:
         lo = self.start if self.start.offset <= other.start.offset else other.start
         hi = self.end if self.end.offset >= other.end.offset else other.end
         return SourceSpan(lo, hi, self.filename)
+
+    def detached(self) -> "SourceSpan":
+        """This span on lines of its own, which no renumbering moves."""
+        start, end = (SourcePos(Line(pos.at.number, pos.at.start), pos.col)
+                      for pos in (self.start, self.end))
+        return SourceSpan(start, end, self.filename)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.filename}:{self.start}"

@@ -27,7 +27,7 @@ import re
 from typing import Iterator
 
 from . import time_units
-from .errors import LexError, SourcePos, SourceSpan
+from .errors import LexError, Line, SourcePos, SourceSpan
 from .tokens import KEYWORDS, SYMBOLS, TokKind, Token
 
 _ESCAPES = {
@@ -45,6 +45,7 @@ _TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 _WORD = re.compile(r"\w*")
 _DEC_RUN = re.compile(r"[0-9]*")
 _HEX_RUN = re.compile(r"[0-9a-fA-F]*")
+_NEWLINE = re.compile("\n")
 
 
 class Lexer:
@@ -56,6 +57,12 @@ class Lexer:
         self.pos = 0
         self.line = 1
         self.col = 1
+        #: one :class:`Line` per line of ``src`` (``lines[k - 1]`` is line
+        #: ``k``; the text after the last ``\n`` is a line too, even when
+        #: empty): every position the lexer makes points into this table
+        self.lines = [Line(1, 0)]
+        self.lines.extend(Line(k, m.end()) for k, m
+                          in enumerate(_NEWLINE.finditer(src), start=2))
         #: spans of ``/* ... */`` comments, recorded as they are skipped.
         #: The incremental analyzer uses the multi-line ones to keep
         #: statement extents from splitting a comment in half.  (The ``C do``
@@ -83,14 +90,17 @@ class Lexer:
         return text
 
     def _pos(self) -> SourcePos:
-        return SourcePos(self.line, self.col, self.pos)
+        return SourcePos(self.lines[self.line - 1], self.col)
 
     def _span(self, start: SourcePos) -> SourceSpan:
         return SourceSpan(start, self._pos(), self.filename)
 
+    def _point(self) -> SourceSpan:
+        pos = self._pos()
+        return SourceSpan(pos, pos, self.filename)
+
     def _error(self, msg: str) -> LexError:
-        return LexError(msg, SourceSpan.point(self.line, self.col,
-                                              self.pos, self.filename))
+        return LexError(msg, self._point())
 
     # ------------------------------------------------------------ skipping
     def _skip_trivia(self) -> None:
@@ -297,9 +307,7 @@ class Lexer:
         while True:
             self._skip_trivia()
             if self.pos >= len(self.src):
-                yield Token(TokKind.EOF, "",
-                            SourceSpan.point(self.line, self.col, self.pos,
-                                             self.filename))
+                yield Token(TokKind.EOF, "", self._point())
                 return
             ch = self.src[self.pos]
             if ch in _DIGITS:

@@ -27,7 +27,7 @@ from typing import Optional
 from ..analysis import IncrementalAnalyzer, Report
 from ..analysis.diagnostics import Diagnostic
 from ..lang import ast
-from ..lang.errors import SourceSpan
+from ..lang.errors import SourcePos, SourceSpan
 from .documents import Document, uri_to_path
 from .rpc import (INVALID_PARAMS, METHOD_NOT_FOUND, JsonRpcStream,
                   ProtocolError)
@@ -39,26 +39,28 @@ _SEVERITY = {"error": 1, "warning": 2, "note": 3}
 _EVENT_NODES = (ast.AwaitExt, ast.AwaitInt, ast.EmitExt, ast.EmitInt)
 
 
-def _span_range(span: SourceSpan) -> dict:
-    """LSP range of a source span (1-based lines/cols → 0-based).
-
-    Spans over ASCII sources are exact; astral characters earlier on the
-    line would shift columns (the analyzer counts characters, LSP counts
-    UTF-16 units) — Céu sources are ASCII, so this cannot trigger."""
+def _span_range(span: SourceSpan, lines: list[str]) -> dict:
+    """LSP range of a source span over the text cut into ``lines`` at
+    ``\\n``: 0-based lines, and characters counted in UTF-16 code units
+    (the ``positionEncoding`` the server advertises).  Spans count
+    characters, and comments and strings take any character, so an
+    astral one earlier on the line counts twice here."""
     if span.start.line == 0:          # unknown span → file start
         return {"start": {"line": 0, "character": 0},
                 "end": {"line": 0, "character": 0}}
-    return {
-        "start": {"line": span.start.line - 1,
-                  "character": max(0, span.start.col - 1)},
-        "end": {"line": span.end.line - 1,
-                "character": max(0, span.end.col - 1)},
-    }
+    return {"start": _position(span.start, lines),
+            "end": _position(span.end, lines)}
 
 
-def _lsp_diagnostic(diag: Diagnostic, uri: str) -> dict:
+def _position(pos: SourcePos, lines: list[str]) -> dict:
+    head = lines[pos.line - 1][:max(0, pos.col - 1)]
+    return {"line": pos.line - 1,
+            "character": len(head.encode("utf-16-le")) // 2}
+
+
+def _lsp_diagnostic(diag: Diagnostic, uri: str, lines: list[str]) -> dict:
     out = {
-        "range": _span_range(diag.span),
+        "range": _span_range(diag.span, lines),
         "severity": _SEVERITY[diag.severity],
         "code": diag.code,
         "source": "repro-lint",
@@ -66,7 +68,7 @@ def _lsp_diagnostic(diag: Diagnostic, uri: str) -> dict:
     }
     if diag.notes:
         out["relatedInformation"] = [
-            {"location": {"uri": uri, "range": _span_range(span)},
+            {"location": {"uri": uri, "range": _span_range(span, lines)},
              "message": label}
             for label, span in diag.notes]
     return out
@@ -183,10 +185,12 @@ class LspServer:
     def _publish(self, open_file: _OpenFile) -> None:
         report = open_file.analyzer.analyze(open_file.document.text)
         open_file.report = report
+        lines = open_file.document.text.split("\n")
         self.stream.notify("textDocument/publishDiagnostics", {
             "uri": open_file.document.uri,
             "version": open_file.document.version,
-            "diagnostics": [_lsp_diagnostic(d, open_file.document.uri)
+            "diagnostics": [_lsp_diagnostic(d, open_file.document.uri,
+                                            lines)
                             for d in report.sorted()],
         })
 
@@ -230,7 +234,8 @@ class LspServer:
                 else node
         if decl_span is None:
             return None
-        return {"uri": uri, "range": _span_range(decl_span)}
+        return {"uri": uri, "range": _span_range(
+            decl_span, open_file.document.text.split("\n"))}
 
     def _on_textDocument_hover(self, params: dict):
         uri = params["textDocument"]["uri"]

@@ -7,7 +7,9 @@ diagnostic's code and start position) → an incremental didChange
 re-publishes what lint reports for the edited text → hover answers with
 the static resource bounds → clean shutdown/exit.  A second document
 holds a form feed in its first line, which the server must count as
-lint does: not as a line break.
+lint does: not as a line break; and an astral character in a comment
+before the reported ``x = 3``, which the server must count as two
+UTF-16 units, where lint's column counts it as one character.
 
 Run from the repository root (CI ``lsp-smoke`` step)::
 
@@ -38,8 +40,10 @@ end
 
 
 #: the race under a first line holding a form feed, which
-#: ``str.splitlines`` would count as a line break
-FORM_FEED = "// smoke\fform feed\n" + RACY
+#: ``str.splitlines`` would count as a line break, with an astral
+#: character before the reported ``x = 3``
+FORM_FEED = "// smoke\fform feed\n" + RACY.replace(
+    "    x = 3;", "    /*\U0001F600*/ x = 3;")
 
 
 def frame(obj) -> bytes:
@@ -77,7 +81,8 @@ def published(message) -> list:
 
 def linted(text: str) -> list:
     """What ``repro lint --format json`` reports for ``text``, in the
-    form of :func:`published` (0-based; a spanless finding at 0:0)."""
+    form of :func:`published` (0-based, the column counted in UTF-16
+    units; a spanless finding at 0:0)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "doc.ceu"
         path.write_text(text, newline="")
@@ -85,10 +90,13 @@ def linted(text: str) -> list:
             [sys.executable, "-m", "repro", "lint", "--format", "json",
              str(path)], capture_output=True, text=True, cwd=ROOT,
             check=True).stdout
+    lines = text.split("\n")
     found = []
     for diag in json.loads(out)["diagnostics"]:
         span = diag["span"] or {"line": 1, "col": 1}
-        found.append((diag["code"], span["line"] - 1, span["col"] - 1))
+        head = lines[span["line"] - 1][:span["col"] - 1]
+        found.append((diag["code"], span["line"] - 1,
+                      len(head.encode("utf-16-le")) // 2))
     return sorted(found)
 
 
@@ -144,8 +152,9 @@ def main() -> int:
         assert published(pub2) == linted(RACY.replace("x = 3", "x = 4"))
         print("didChange: ok, re-published", codes2)
 
-        # a comment appended to `x = 3;` (line 6, 0-based) of a document
-        # whose first line holds a form feed
+        # a comment appended to `x = 3;` (line 6, 0-based; UTF-16 unit
+        # 17, code point 16) of a document whose first line holds a form
+        # feed
         send({"jsonrpc": "2.0", "method": "textDocument/didOpen",
               "params": {"textDocument": {
                   "uri": ff_uri, "languageId": "ceu",
@@ -159,8 +168,8 @@ def main() -> int:
               "params": {
                   "textDocument": {"uri": ff_uri, "version": 2},
                   "contentChanges": [{
-                      "range": {"start": {"line": 6, "character": 10},
-                                "end": {"line": 6, "character": 10}},
+                      "range": {"start": {"line": 6, "character": 17},
+                                "end": {"line": 6, "character": 17}},
                       "text": " // edited"}]}})
         pub3 = wait_for(
             proc.stdout,

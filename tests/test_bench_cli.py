@@ -236,6 +236,43 @@ class TestFlatnessSection:
         assert section["floor"] == bench.FLAT_FLOOR
 
 
+    def test_one_slow_window_moves_no_ratio(self, monkeypatch):
+        """A host stall that slows one timed window, the first of the
+        most-trailed program and the first of the leak program aged
+        :data:`~repro.bench.LEAK_LATE`, leaves both ratios at 1.0: each
+        rate is the best of interleaved windows.  (The rates are
+        injected: nothing is timed.)"""
+        monkeypatch.setattr(bench, "FLAT_TRAILS", (4, 32))
+        sources = {}
+
+        def program(source):
+            made = bench_program(source)
+            sources[id(made)] = source
+            return made
+
+        bench_program = bench.Program
+        monkeypatch.setattr(bench, "Program", program)
+        ages = {}
+        stalled = []
+
+        def rate(made, events):
+            age = ages.get(id(made), 0)
+            ages[id(made)] = age + events
+            late = (sources[id(made)] == bench.make_idle(32)
+                    or age >= bench.LEAK_LATE)
+            if late and made not in stalled:
+                stalled.append(made)
+                return 400.0
+            return 1000.0
+
+        monkeypatch.setattr(bench, "_rate", rate)
+        section = bench.bench_flatness(repeats=1)
+        assert len(stalled) == 2
+        assert section["ratios"] == {"wake_32_vs_4": 1.0,
+                                     "leak_10000_vs_1000": 1.0}
+        assert bench._flatness_gates(section, {}, 0.0) == []
+
+
 class TestCheckpointSection:
     def test_checkpoint_section_shape(self, monkeypatch):
         """A shrunk ``bench --checkpoint`` measurement has every gated

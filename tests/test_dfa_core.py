@@ -437,6 +437,21 @@ class TestDfaStructure:
         with pytest.raises(AnalysisBudgetExceeded, match="await"):
             dfa_of("int x = 0;\nloop do\nx = x + 1;\nend")
 
+    def test_tight_loop_through_a_fork_is_refused_at_once(self,
+                                                          monkeypatch):
+        """Each pass of this loop forks at the ``if``; the chain that
+        takes ``then`` comes back to it within one run, which is refused
+        on the second visit, not after the step budget's 12,500 forks."""
+        from repro.dfa.abstract import MidState
+
+        forks = []
+        copy = MidState.copy
+        monkeypatch.setattr(MidState, "copy",
+                            lambda ms: forks.append(ms) or copy(ms))
+        with pytest.raises(AnalysisBudgetExceeded, match="tight loop"):
+            dfa_of("int x = 0; loop do if x then x = 1; end end")
+        assert len(forks) <= 2
+
     @pytest.mark.parametrize("group", ["lint", *PROFILES])
     def test_exact_structure_is_pinned(self, group):
         """States, edges, both sides of every conflict and the emit bound

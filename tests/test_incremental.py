@@ -342,3 +342,69 @@ def test_fast_path_bug_is_counted_apart_from_planned_fallbacks(
         other = ({"full_fallbacks", "fast_path_errors"} - {stat}).pop()
         assert (an.stats[stat], an.stats[other]) == (1, 0)
         assert an.stats["full_runs"] == 2
+
+
+# ------------------------------------------------------------- renumbering
+def test_returned_report_keeps_its_positions_after_later_edits():
+    """The analyzer renumbers the lines its kept statements sit on; a
+    report it returned earlier points at lines of its own and keeps its
+    JSON when later edits insert lines above its diagnostics."""
+    an = IncrementalAnalyzer()
+    cold_report = an.analyze(RACY)
+    cold_json = cold_report.to_json()
+    assert '"CEU-E201"' in cold_json
+    spliced = an.analyze("// one\n" + RACY)
+    spliced_json = spliced.to_json()
+    check(an, "// one\n// two\n" + RACY)
+    assert an.stats["full_runs"] == 1
+    assert cold_report.to_json() == cold_json
+    assert spliced.to_json() == spliced_json
+    assert spliced_json == cold("// one\n" + RACY)
+
+
+def test_gap_between_kept_groups_is_byte_identical():
+    """A statement re-parsed in a gap that grows by a line, between two
+    kept groups: the gap's lines are moved by its start, the group below
+    is renumbered by one more line."""
+    source = "int y = 1;\n" + RACY.replace("int x = 0;\n",
+                                          "int x = 0;\nint z = 2;\n")
+    edited = source.replace("int z = 2;\n", "int z = 3;\nint w = 4;\n")
+    an = IncrementalAnalyzer()
+    check(an, source)
+    reused = an.stats["regions_reused"]
+    check(an, edited)
+    assert an.stats["full_runs"] == 1
+    assert an.stats["regions_reparsed"] == 2        # `int z`, `int w`
+    assert an.stats["regions_reused"] - reused == 4  # 2 above, 2 below
+
+
+def test_descended_par_whose_frame_lines_move_apart():
+    """Lines added inside both branches of a ``par/and``: its first line
+    stays, ``with`` moves by one and ``end`` by two, while the kept
+    statements of each branch move with them."""
+    edited = (RACY.replace("    x = 1;\n", "    x = 1;\n    // one\n")
+              .replace("    x = 2;\n", "    // two\n    x = 2;\n"))
+    an = IncrementalAnalyzer()
+    check(an, RACY)
+    check(an, edited)
+    assert an.stats["full_runs"] == 1
+    assert an.stats["regions_recovered"] == 1
+    check(an, RACY)
+    assert an.stats["full_runs"] == 1
+
+
+def test_line_inserted_inside_a_frame_is_not_skipped():
+    """A compound statement is descended into only when each piece of
+    its frame moved as one: a header that spans two lines, or a block
+    comment that closes on the ``loop`` line, must not have a line
+    slipped between its lines that no child block's window covers."""
+    header = "int a = 1, b = 2;\nif a &&\n   b then\n  a = 3;\nend\n"
+    comment = ("int a = 1;\n/* a\nb */ loop do\n  a = a + 1;\n"
+               "  await 1s;\nend\n")
+    for source, edited in (
+            (header, header.replace("if a &&\n", "if a &&\nzz = 5;\n")),
+            (comment, comment.replace("/* a\n", "/* a\n*/ zz = 9; /*\n"))):
+        an = IncrementalAnalyzer()
+        check(an, source)
+        check(an, edited)
+        assert '"CEU-E00' in an.analyze(edited).to_json()

@@ -209,6 +209,86 @@ def test_definition_resolves_to_declaration():
     assert result["range"]["start"]["line"] == 2   # `int v = 0;`
 
 
+def test_definition_follows_lines_inserted_above():
+    """Comment lines inserted above the declaration: the analyzer keeps
+    its statements and renumbers their lines, so the answer is the
+    moved line."""
+    out = run_server(
+        req(1, "initialize"),
+        note("textDocument/didOpen",
+             textDocument={"uri": URI, "languageId": "ceu",
+                           "version": 1, "text": COUNTER}),
+        note("textDocument/didChange",
+             textDocument={"uri": URI, "version": 2},
+             contentChanges=[{
+                 "range": {"start": {"line": 0, "character": 0},
+                           "end": {"line": 0, "character": 0}},
+                 "text": "// one\n// two\n"}]),
+        req(2, "textDocument/definition",
+            textDocument={"uri": URI},
+            position={"line": 8, "character": 6}),
+        req(3, "shutdown"), note("exit"))
+    result = by_id(out, 2)["result"]
+    assert result["range"] == {"start": {"line": 4, "character": 4},
+                               "end": {"line": 4, "character": 5}}
+
+
+def _opened(text: str, *requests) -> list:
+    """Server output for ``text`` opened, then ``requests``."""
+    return run_server(
+        req(1, "initialize"),
+        note("textDocument/didOpen",
+             textDocument={"uri": URI, "languageId": "ceu",
+                           "version": 1, "text": text}),
+        *requests, req(99, "shutdown"), note("exit"))
+
+
+def _utf16_range(doc: Document, span: dict) -> dict:
+    """The LSP range of a lint JSON span, through ``Document``."""
+    starts = doc._line_offsets()
+    return {"start": doc.position_at(starts[span["line"] - 1]
+                                     + span["col"] - 1),
+            "end": doc.position_at(starts[span["end_line"] - 1]
+                                   + span["end_col"] - 1)}
+
+
+def test_ranges_count_utf16_units():
+    """Comments take any character, and an astral one counts as two
+    UTF-16 units: diagnostic, related-information and definition ranges
+    are the lint spans' positions as ``Document.position_at`` counts
+    them."""
+    from repro.analysis import run_analysis
+
+    awaited = "internal void e;\n/*\U0001F600*/ await e;\n"
+    racy = ("input void A;\nint x = 0;\npar/and do\n"
+            "    /*\U0001F600*/ x = 1;\n    await A;\n"
+            "    /*\U0001F600\U0001F600*/ x = 3;\n"
+            "with\n    await A;\n    x = 2;\nend\n")
+    for text in (awaited, racy):
+        doc = Document(URI, text)
+        got = published(_opened(text))[0]["diagnostics"]
+        want = run_analysis(text, filename=uri_to_path(URI)).to_dict()
+        assert [d["code"] for d in got] == [
+            d["code"] for d in want["diagnostics"]]
+        for pub, diag in zip(got, want["diagnostics"]):
+            if diag["span"] is not None:
+                assert pub["range"] == _utf16_range(doc, diag["span"])
+            assert [info["location"]["range"]
+                    for info in pub.get("relatedInformation", [])] == [
+                _utf16_range(doc, n["span"]) for n in diag.get("notes", [])]
+        if text is awaited:
+            w302, = (d for d in got if d["code"] == "CEU-W302")
+            assert w302["range"]["start"] == {"line": 1, "character": 7}
+
+    declared = COUNTER.replace("int v = 0;", "/*\U0001F600*/ int v = 0;")
+    out = _opened(declared, req(2, "textDocument/definition",
+                                textDocument={"uri": URI},
+                                position={"line": 6, "character": 6}))
+    start = Document(URI, declared).position_at(declared.index("v = 0"))
+    assert start == {"line": 2, "character": 11}
+    assert by_id(out, 2)["result"]["range"]["start"] == start
+
+
 def test_hover_reports_trail_bounds():
     out = run_server(
         req(1, "initialize"),
