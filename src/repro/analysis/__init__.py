@@ -10,7 +10,7 @@ from the DFA, and renders text / JSON / SARIF 2.1.0 reports
 """
 
 from .bounds import ResourceBounds, TrailBounds, compute_bounds, \
-    compute_trail_bounds
+    memory_bounds
 from .diagnostics import Diagnostic, Report, Severity
 from .engine import run_analysis
 from .incremental import IncrementalAnalyzer
@@ -19,8 +19,7 @@ from .witness import Witness
 
 __all__ = [
     "Diagnostic", "Report", "Severity",
-    "ResourceBounds", "TrailBounds", "compute_bounds",
-    "compute_trail_bounds",
+    "ResourceBounds", "TrailBounds", "compute_bounds", "memory_bounds",
     "Witness",
     "run_analysis", "IncrementalAnalyzer",
     "to_sarif", "sarif_json",

@@ -145,22 +145,22 @@ def _frame_vars(block: ast.Block, bound: BoundProgram) -> list:
     return syms
 
 
-def compute_trail_bounds(bound: BoundProgram, host=None,
-                         t16=None) -> tuple[TrailBounds, ...]:
-    """Per-frame memory attribution: the root block plus every branch of
-    every ``par``, in deterministic pre-order.  Callers that already
-    built the ABI layouts may pass them to avoid rebuilding."""
-    host = build_layout(bound, HOST) if host is None else host
-    t16 = build_layout(bound, TARGET16) if t16 is None else t16
+def memory_bounds(bound: BoundProgram) -> dict:
+    """The :class:`ResourceBounds` fields that follow from the
+    declarations alone, not from the DFA: slots, both ABI byte totals and
+    the per-frame attribution — the root block plus every branch of every
+    ``par``, in deterministic pre-order."""
+    host = build_layout(bound, HOST)
+    t16 = build_layout(bound, TARGET16)
     frames: list[tuple[str, ast.Block]] = [("root", bound.program.body)]
     for node in bound.program.walk():
         if isinstance(node, ast.ParStmt):
             for i, blk in enumerate(node.blocks, start=1):
                 frames.append((f"{node.keyword} branch {i}", blk))
-    out = []
+    per_trail = []
     for label, blk in frames:
         syms = _frame_vars(blk, bound)
-        out.append(TrailBounds(
+        per_trail.append(TrailBounds(
             label=label,
             line=blk.span.start.line,
             end_line=blk.span.end.line,
@@ -168,7 +168,10 @@ def compute_trail_bounds(bound: BoundProgram, host=None,
             mem_bytes_host=sum(host.sizes[s] for s in syms),
             mem_bytes_target16=sum(t16.sizes[s] for s in syms),
         ))
-    return tuple(out)
+    return {"mem_slots": len(bound.variables),
+            "mem_bytes_host": host.total,
+            "mem_bytes_target16": t16.total,
+            "per_trail": tuple(per_trail)}
 
 
 def compute_bounds(bound: BoundProgram, dfa: Dfa) -> ResourceBounds:
@@ -194,10 +197,7 @@ def compute_bounds(bound: BoundProgram, dfa: Dfa) -> ResourceBounds:
         max_armed_timers=max_timers,
         max_async_jobs=max_asyncs,
         max_internal_emits=dfa.max_internal_emits,
-        mem_slots=len(bound.variables),
-        mem_bytes_host=build_layout(bound, HOST).total,
-        mem_bytes_target16=build_layout(bound, TARGET16).total,
         dfa_states=dfa.state_count(),
         dfa_transitions=dfa.transition_count(),
-        per_trail=compute_trail_bounds(bound),
+        **memory_bounds(bound),
     )

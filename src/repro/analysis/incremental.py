@@ -26,15 +26,15 @@ How an edit is processed
    own statements, recursively.  Statements whose extents overlap (two
    on one line, a block comment joining them) form a *group*, kept or
    re-parsed as a unit.  A group whose whole extent lands inside one
-   equal block of the diff *survives*: its nodes, signatures and memos
-   are kept as they are.  A damaged group of one compound statement
-   whose frame (the literal runs: ``loop``/``if``/``par`` headers,
-   ``with``, ``else``, ``end``, with the statement's first and last
-   extent lines) survived piece by piece is **descended** into: each
-   child block is repaired the same way within its own window, the
-   lines strictly between the frame's.  The remaining gap lines are
-   re-lexed and re-parsed standalone.  A mid-file keystroke inside a
-   200-line ``loop`` thus re-parses a handful of lines, not the loop.
+   equal block of the diff *survives*: its nodes and signatures are
+   kept as they are.  A damaged group of one compound statement whose
+   frame (the literal runs: ``loop``/``if``/``par`` headers, ``with``,
+   ``else``, ``end``, with the statement's first and last extent lines)
+   survived piece by piece is **descended** into: each child block is
+   repaired the same way within its own window, the lines strictly
+   between the frame's.  The remaining gap lines are re-lexed and
+   re-parsed standalone.  A mid-file keystroke inside a 200-line
+   ``loop`` thus re-parses a handful of lines, not the loop.
    A position points at the :class:`~repro.lang.errors.Line` it was
    lexed on.  Once the repair succeeds, each kept line is renumbered
    through the diff and each gap's lines move by the gap's start;
@@ -46,13 +46,11 @@ How an edit is processed
    that shares a line with the frame (``with loop do``), abandons the
    repair at that level (block → enclosing block → … → program body →
    cold run).
-4. The spliced program is re-numbered (pre-order ``nid``s), re-bound,
-   and the bounded/liveness passes run over per-statement memos on the
-   body's entries: a top-level statement whose content and
-   binder-visible environment signature (exports of all preceding
-   top-level statements, :func:`repro.sema.symbols
-   .declaration_signature`) are unchanged replays its memoized
-   diagnostics; damaged statements and their dependents recompute.
+4. The spliced program is re-numbered (pre-order ``nid``s) and
+   re-bound (an edit that only moved statements keeps the nids and the
+   binder's tables), and the §2.5 bounded and liveness passes run over
+   the whole program, as :func:`~repro.analysis.engine.run_analysis`
+   runs them.
 5. The whole-program DFA passes re-run only when the program's token
    signature actually changed: on an identical token stream (an edit to
    comments/whitespace) every DFA-derived diagnostic — conflicts with
@@ -77,14 +75,11 @@ from ..lang.errors import CeuError, Line, SourceSpan
 from ..lang.lexer import Lexer, split_lines
 from ..lang.parser import Parser
 from ..lang.tokens import TokKind, Token
-from ..codegen.memlayout import HOST, TARGET16, build_layout
 from ..sema import bind
-from ..sema.bounded import COMPLETIONS, CZ, seq_outcomes, statement_outcomes
-from ..sema.symbols import declaration_signature
-from .bounds import ResourceBounds, compute_trail_bounds
-from .diagnostics import Diagnostic, Report
+from .bounds import ResourceBounds, memory_bounds
+from .diagnostics import Report
 from .engine import dfa_stage, front_end_error
-from .passes import _CollectingSink, bounds_pass, liveness_pass
+from .passes import bounded_pass, bounds_pass, liveness_pass
 
 #: ``stats`` keys counting a group that was kept, repaired inside, or
 #: re-parsed: in the program body (a top-level group is what the keys
@@ -135,12 +130,6 @@ def _close_extent(lo: int, hi: int,
     return lo, hi
 
 
-def _copy_diag(diag: Diagnostic) -> Diagnostic:
-    return Diagnostic(code=diag.code, message=diag.message, span=diag.span,
-                      notes=list(diag.notes), witness=diag.witness,
-                      data=diag.data)
-
-
 def _detach(report: Report) -> Report:
     """``report`` on lines of its own, which the next edit's renumbering
     does not move."""
@@ -173,10 +162,6 @@ class _Entry:
     masked: tuple
     template: Optional[list] = None
     blocks: list = field(default_factory=list)
-    #: top-level statements only: the §2.5 memo ``(env_sig, outcomes,
-    #: [Diagnostic], tight_count)``, valid while the statement and the
-    #: exports of every statement before it are unchanged
-    bounded: Optional[tuple] = None
 
 
 @dataclass
@@ -242,7 +227,6 @@ class IncrementalAnalyzer:
             "regions_reused": 0, "regions_recovered": 0,
             "regions_reparsed": 0,
             "entries_reused": 0, "entries_reparsed": 0, "descents": 0,
-            "bounded_hits": 0, "bounded_misses": 0,
             "dfa_replays": 0, "dfa_rebuilds": 0, "bounds_replays": 0,
             "bind_reuses": 0,
         }
@@ -315,8 +299,7 @@ class IncrementalAnalyzer:
         its body and the lexer's line table (raises :class:`CeuError`)."""
         lexer = Lexer(text, self.filename)
         toks = list(lexer.tokens())
-        parser = Parser(text, self.filename, tokens=toks,
-                        track_extents=True)
+        parser = Parser(text, self.filename, tokens=toks)
         program = parser.parse_program()
         entries = self._build_entries(program.body, toks, parser,
                                       _comment_ranges(lexer), lexer.lines)
@@ -325,8 +308,10 @@ class IncrementalAnalyzer:
     def _build_entries(self, block: ast.Block, toks: list[Token],
                        parser: Parser, comments: list[tuple[int, int]],
                        table: list[Line]) -> list[_Entry]:
-        return [self._build_entry(stmt, s, e, toks, parser, comments, table)
-                for stmt, s, e in parser.block_marks[id(block)]]
+        ext = parser.extents[id(block)]
+        return [self._build_entry(stmt, ext[k], ext[k + 1], toks, parser,
+                                  comments, table)
+                for k, stmt in zip(range(2, len(ext), 2), block.stmts)]
 
     def _build_entry(self, stmt: ast.Stmt, s: int, e: int,
                      toks: list[Token], parser: Parser,
@@ -340,9 +325,9 @@ class IncrementalAnalyzer:
         cands = []
         for node in stmt.walk():
             if isinstance(node, ast.Block):
-                rng = parser.block_ranges.get(id(node))
-                if rng is not None and s <= rng[0] and rng[1] <= e:
-                    cands.append((rng[0], rng[1], node))
+                ext = parser.extents.get(id(node))
+                if ext is not None and s <= ext[0] and ext[1] <= e:
+                    cands.append((ext[0], ext[1], node))
         if not cands:
             return entry
         # block token ranges nest properly; keep only the outermost ones
@@ -516,7 +501,6 @@ class IncrementalAnalyzer:
                     line_map[entry.template[idx + 1][3].number] - 1,
                     line_map, new_lines, _NESTED_KEYS):
                 return False
-        entry.bounded = None
         self._resig(entry)
         return True
 
@@ -568,7 +552,7 @@ class IncrementalAnalyzer:
             self.last_bound = bound
             self._nodes = nodes
 
-        tight_loops = self._bounded_over_body(bound, report)
+        tight_loops = bounded_pass(bound, report)
         liveness_pass(bound, report, nodes=nodes)
         if tight_loops:
             return report
@@ -588,43 +572,6 @@ class IncrementalAnalyzer:
                               nodes)
             self.stats["dfa_rebuilds"] += 1
         return report
-
-    def _bounded_over_body(self, bound, report: Report) -> int:
-        """Replicates ``analyze_bounded``'s walk of the program body
-        over the per-statement memos, byte-identically: same
-        diagnostics, in the same order, same tight-loop count."""
-        sink = _CollectingSink(report)
-        tight_total = 0
-        acc = frozenset({CZ})
-        cut = False
-        env: tuple = ()
-        entries = self._body.entries
-        for i, entry in enumerate(entries):
-            if entry.bounded is None or entry.bounded[0] != env:
-                scratch = Report(filename=self.filename)
-                stmt_sink = _CollectingSink(scratch)
-                out = statement_outcomes(entry.stmt, bound, stmt_sink)
-                entry.bounded = (env, out, scratch.diagnostics,
-                                 stmt_sink.tight_loops)
-                self.stats["bounded_misses"] += 1
-            else:
-                self.stats["bounded_hits"] += 1
-            sig = declaration_signature(entry.stmt)
-            if sig:
-                env += (sig,)
-            _env, out, diags, tight = entry.bounded
-            report.diagnostics.extend(map(_copy_diag, diags))
-            tight_total += tight
-            if cut:
-                continue
-            acc = seq_outcomes(acc, out)
-            if not acc & COMPLETIONS:
-                if i + 1 < len(entries):
-                    sink.unreachable(entries[i + 1].stmt,
-                                     len(entries) - i - 1)
-                cut = True
-        report.stages.append("bounded")
-        return tight_total + sink.tight_loops
 
     # ------------------------------------------------------- DFA caching
     def _replay_dfa(self, memo: _DfaMemo, bound, report: Report,
@@ -666,8 +613,8 @@ class IncrementalAnalyzer:
         over the DFA again (the per-state maxima depend only on the —
         unchanged — automaton).  Raw-equal token streams keep the memory
         figures too and only rebase the per-trail source extents;
-        masked-equal streams may have changed array sizes, so the
-        layouts and per-trail attribution recompute from the binder."""
+        masked-equal streams may have changed array sizes, so the fields
+        that follow from the declarations recompute from the binder."""
         old = memo.bounds
         if flat_raw == memo.raw:
             frames = [bound.program.body]
@@ -679,19 +626,7 @@ class IncrementalAnalyzer:
                     replace(t, line=blk.span.start.line,
                             end_line=blk.span.end.line)
                     for t, blk in zip(old.per_trail, frames)))
-        host = build_layout(bound, HOST)
-        t16 = build_layout(bound, TARGET16)
-        return ResourceBounds(
-            max_trails=old.max_trails,
-            max_armed_timers=old.max_armed_timers,
-            max_async_jobs=old.max_async_jobs,
-            max_internal_emits=old.max_internal_emits,
-            mem_slots=len(bound.variables),
-            mem_bytes_host=host.total,
-            mem_bytes_target16=t16.total,
-            dfa_states=old.dfa_states,
-            dfa_transitions=old.dfa_transitions,
-            per_trail=compute_trail_bounds(bound, host, t16))
+        return replace(old, **memory_bounds(bound))
 
     def _rebuild_dfa(self, bound, report: Report, flat_raw: tuple,
                      flat_masked: tuple, nodes: list[ast.Node]) -> None:

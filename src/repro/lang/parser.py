@@ -9,6 +9,7 @@ Operator precedence and associativity follow C, as the grammar demands.
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 from . import ast
@@ -38,20 +39,19 @@ _BLOCK_ENDERS = ("end", "with", "else")
 
 class Parser:
     def __init__(self, src: str, filename: str = "<ceu>",
-                 tokens: Optional[list[Token]] = None,
-                 track_extents: bool = False):
+                 tokens: Optional[list[Token]] = None):
         self.toks = tokenize(src, filename) if tokens is None else tokens
         self.idx = 0
         self.filename = filename
-        #: when ``track_extents`` is set, the exact token-index range
-        #: ``[start, end)`` consumed by each statement of each block (the
-        #: program body included) — the incremental analyzer derives its
-        #: damage-repair tree from these (plain statement spans only
-        #: cover the first token for declarations).  Keyed by
-        #: ``id(block)``; valid while the AST is alive.
-        self.track_extents = track_extents
-        self.block_marks: dict[int, list[tuple[ast.Stmt, int, int]]] = {}
-        self.block_ranges: dict[int, tuple[int, int]] = {}
+        #: per block (the program body included), keyed by ``id(block)``:
+        #: the exact token-index range ``[start, end)`` the block
+        #: consumed, then that of each of its statements, flat —
+        #: ``[start, end, s0, e0, s1, e1, ...]``.  The incremental
+        #: analyzer derives its damage-repair tree from these (plain
+        #: statement spans only cover the first token for declarations).
+        #: Integer arrays, so a parse leaves the garbage collector no
+        #: object per statement to count; valid while the AST is alive.
+        self.extents: dict[int, array] = {}
 
     # ----------------------------------------------------------- plumbing
     def _peek(self, ahead: int = 0) -> Token:
@@ -104,8 +104,7 @@ class Parser:
     def _parse_block(self, top: bool = False) -> ast.Block:
         stmts: list[ast.Stmt] = []
         start = self._peek().span
-        marks: list[tuple[ast.Stmt, int, int]] = []
-        block_start = self.idx
+        extents = array("l", (self.idx, 0))
         while True:
             while self._accept_sym(";"):
                 pass
@@ -118,18 +117,13 @@ class Parser:
                 if top:
                     raise self._error(f"`{tok.text}` outside of a block")
                 break
-            if self.track_extents:
-                mark_start = self.idx
-                stmt = self._parse_stmt()
-                marks.append((stmt, mark_start, self.idx))
-                stmts.append(stmt)
-            else:
-                stmts.append(self._parse_stmt())
+            extents.append(self.idx)
+            stmts.append(self._parse_stmt())
+            extents.append(self.idx)
+        extents[1] = self.idx
         span = start if not stmts else stmts[0].span.merge(stmts[-1].span)
         block = ast.Block(stmts=stmts, span=span)
-        if self.track_extents:
-            self.block_marks[id(block)] = marks
-            self.block_ranges[id(block)] = (block_start, self.idx)
+        self.extents[id(block)] = extents
         return block
 
     # ---------------------------------------------------------- statements

@@ -185,12 +185,11 @@ class LspServer:
     def _publish(self, open_file: _OpenFile) -> None:
         report = open_file.analyzer.analyze(open_file.document.text)
         open_file.report = report
-        lines = open_file.document.text.split("\n")
+        doc = open_file.document
         self.stream.notify("textDocument/publishDiagnostics", {
-            "uri": open_file.document.uri,
-            "version": open_file.document.version,
-            "diagnostics": [_lsp_diagnostic(d, open_file.document.uri,
-                                            lines)
+            "uri": doc.uri,
+            "version": doc.version,
+            "diagnostics": [_lsp_diagnostic(d, doc.uri, doc.lines)
                             for d in report.sorted()],
         })
 
@@ -234,8 +233,8 @@ class LspServer:
                 else node
         if decl_span is None:
             return None
-        return {"uri": uri, "range": _span_range(
-            decl_span, open_file.document.text.split("\n"))}
+        return {"uri": uri,
+                "range": _span_range(decl_span, open_file.document.lines)}
 
     def _on_textDocument_hover(self, params: dict):
         uri = params["textDocument"]["uri"]

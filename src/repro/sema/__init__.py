@@ -1,8 +1,8 @@
 """Semantic analysis: binder, bounded-execution check, annotations."""
 
 from .binder import BoundProgram, bind
-from .bounded import check_bounded, loop_outcomes
+from .bounded import check_bounded
 from .symbols import Annotations, EventSymbol, Scope, VarSymbol
 
-__all__ = ["bind", "BoundProgram", "check_bounded", "loop_outcomes",
+__all__ = ["bind", "BoundProgram", "check_bounded",
            "Annotations", "EventSymbol", "VarSymbol", "Scope"]

@@ -14,19 +14,27 @@ violate this are loops (C calls are *assumed* non-looping, §2.5).  The rule:
 
 The analysis is the structural induction the paper describes, implemented as
 an *outcome set* lattice.  Each statement is mapped to the set of ways its
-execution can leave the statement:
+execution can leave the statement, one bit per way:
 
-===========  =============================================================
-``CA``       completes, and the path crossed an await (took time)
-``CZ``       completes in zero time
-``EA``/``EZ``  escapes via ``break`` (awaited / zero-time path)
-``RA``/``RZ``  escapes via ``return`` (awaited / zero-time path)
-===========  =============================================================
+======  ======  ======================================================
+bit     name    the statement
+======  ======  ======================================================
+``1``   ``CA``  completes, and the path crossed an await (took time)
+``2``   ``CZ``  completes in zero time
+``4``   ``EA``  escapes via ``break`` on an awaited path
+``8``   ``EZ``  escapes via ``break`` in zero time
+``16``  ``RA``  escapes via ``return`` on an awaited path
+``32``  ``RZ``  escapes via ``return`` in zero time
+======  ======  ======================================================
 
-An empty set means control never leaves (e.g. ``await forever``, a ``par``
-that never rejoins).  A loop is valid iff its body's outcome set does not
-contain ``CZ``.  ``async`` bodies are exempt — unbounded loops are their
-purpose (§2.7).
+Each zero-time bit sits one above its awaited bit, so the lattice runs on
+shifts: the paths that follow an await become awaited with ``>> 1`` of
+their zero-time bits, a loop turns its escapes into completions with
+``>> 2``, and a value boundary (``v = do ... end``) turns the returns it
+catches into completions with ``>> 4``.  ``0`` means control never
+leaves (e.g. ``await forever``, a ``par`` that never rejoins).  A loop is
+valid iff its body's outcome set does not contain ``CZ``.  ``async``
+bodies are exempt — unbounded loops are their purpose (§2.7).
 
 The walk reports findings through a :class:`BoundedSink`.  The default
 sink raises :class:`BoundedError` at the first tight loop (the compiler's
@@ -41,13 +49,22 @@ from ..lang import ast
 from ..lang.errors import BoundedError
 from .binder import BoundProgram
 
-CA, CZ, EA, EZ, RA, RZ = "CA", "CZ", "EA", "EZ", "RA", "RZ"
+CA, CZ, EA, EZ, RA, RZ = 1, 2, 4, 8, 16, 32
 
-_COMPLETIONS = {CA, CZ}
-_AWAITED = {CA: True, CZ: False, EA: True, EZ: False, RA: True, RZ: False}
-_MARK_AWAITED = {CZ: CA, CA: CA, EZ: EA, EA: EA, RZ: RA, RA: RA}
+_COMPLETES = CA | CZ
+_BREAKS = EA | EZ
+_RETURNS = RA | RZ
+_AWAITED = CA | EA | RA
+_ZERO_TIME = CZ | EZ | RZ
 
-Outcomes = frozenset
+#: statements that hold no statement; a kind named neither here nor in
+#: :func:`_outcomes_stmt` (declarations, emits, C calls, annotations,
+#: ``nothing``) completes in zero time.  The synchronous side of an
+#: ``async`` awaits its completion event (§2.7); loops inside the async
+#: are intentionally unchecked.
+_SIMPLE = {ast.AwaitExt: CA, ast.AwaitInt: CA, ast.AwaitTime: CA,
+           ast.AwaitExp: CA, ast.AsyncBlock: CA, ast.AwaitForever: 0,
+           ast.Break: EZ, ast.Return: RZ}
 
 
 class BoundedSink:
@@ -74,32 +91,29 @@ def check_bounded(bound: BoundProgram) -> None:
     _outcomes_block(bound.program.body, bound, _RAISING)
 
 
-def analyze_bounded(bound: BoundProgram, sink: BoundedSink) -> Outcomes:
+def analyze_bounded(bound: BoundProgram, sink: BoundedSink) -> int:
     """Run the full walk, reporting every finding through ``sink``
     (accumulate-don't-raise when the sink does not raise)."""
     return _outcomes_block(bound.program.body, bound, sink)
 
 
-def loop_outcomes(bound: BoundProgram, node: ast.Node) -> Outcomes:
-    """Expose the outcome set of an arbitrary statement (used by tests)."""
-    return _outcomes_stmt(node, bound, _RAISING)
-
-
-def _seq(first: Outcomes, rest: Outcomes) -> Outcomes:
-    """Compose outcomes of `first; rest` paths."""
-    out = {o for o in first if o not in _COMPLETIONS}
-    for completion in first & _COMPLETIONS:
-        for nxt in rest:
-            out.add(_MARK_AWAITED[nxt] if _AWAITED[completion] else nxt)
-    return frozenset(out)
+def _seq(first: int, rest: int) -> int:
+    """Outcomes of `first; rest` paths: ``rest`` runs after each way
+    ``first`` completes, awaited after an awaited completion."""
+    out = first & ~_COMPLETES
+    if first & CZ:
+        out |= rest
+    if first & CA:
+        out |= rest & _AWAITED | (rest & _ZERO_TIME) >> 1
+    return out
 
 
 def _outcomes_block(block: ast.Block, bound: BoundProgram,
-                    sink: BoundedSink) -> Outcomes:
-    acc: Outcomes = frozenset({CZ})  # empty block completes instantly
+                    sink: BoundedSink) -> int:
+    acc = CZ  # empty block completes instantly
     for i, stmt in enumerate(block.stmts):
         acc = _seq(acc, _outcomes_stmt(stmt, bound, sink))
-        if not acc & _COMPLETIONS:
+        if not acc & _COMPLETES:
             # nothing ever flows past this statement; later statements are
             # unreachable but must still be *checked* for tight loops.
             rest = block.stmts[i + 1:]
@@ -112,98 +126,61 @@ def _outcomes_block(block: ast.Block, bound: BoundProgram,
 
 
 def _setexp_outcomes(value: ast.Node, bound: BoundProgram,
-                     sink: BoundedSink) -> Outcomes:
+                     sink: BoundedSink) -> int:
     if isinstance(value, ast.Exp):
-        return frozenset({CZ})
+        return CZ
     return _outcomes_stmt(value, bound, sink)
 
 
 def _outcomes_stmt(s: ast.Stmt, bound: BoundProgram,
-                   sink: BoundedSink) -> Outcomes:
+                   sink: BoundedSink) -> int:
     """Outcome set of a statement, converting caught returns at value
-    boundaries (``v = do/par/async ... end``) into completions."""
-    out = _outcomes_stmt_raw(s, bound, sink)
-    if s.nid in bound.value_boundaries:
-        mapped = {RA: CA, RZ: CZ}
-        out = frozenset(mapped.get(o, o) for o in out)
-    return out
-
-
-def _outcomes_stmt_raw(s: ast.Stmt, bound: BoundProgram,
-                       sink: BoundedSink) -> Outcomes:
-    if isinstance(s, (ast.AwaitExt, ast.AwaitInt, ast.AwaitTime,
-                      ast.AwaitExp)):
-        return frozenset({CA})
-    if isinstance(s, ast.AwaitForever):
-        return frozenset()
-    if isinstance(s, ast.Break):
-        return frozenset({EZ})
-    if isinstance(s, ast.Return):
-        return frozenset({RZ})
-    if isinstance(s, ast.AsyncBlock):
-        # the synchronous side awaits the async's completion event (§2.7);
-        # loops inside the async are intentionally unchecked.
-        return frozenset({CA})
-    if isinstance(s, ast.If):
-        then = _outcomes_block(s.then, bound, sink)
-        if s.orelse is not None:
-            return then | _outcomes_block(s.orelse, bound, sink)
-        return then | frozenset({CZ})
-    if isinstance(s, ast.Loop):
+    boundaries (``v = do/par/async ... end``) into completions.  Every
+    statement class is a leaf of :class:`~repro.lang.ast.Stmt`, so the
+    exact type picks the rule."""
+    kind = type(s)
+    out = _SIMPLE.get(kind)
+    if out is not None:
+        return out
+    if kind is ast.If:
+        out = _outcomes_block(s.then, bound, sink)
+        out |= (CZ if s.orelse is None
+                else _outcomes_block(s.orelse, bound, sink))
+    elif kind is ast.Loop:
         body = _outcomes_block(s.body, bound, sink)
-        if CZ in body:
+        if body & CZ:
+            # a collecting sink returns, and the walk goes on to find
+            # further findings
             sink.tight_loop(s)
-            # a collecting sink returns: continue as if the offending
-            # zero-time path did not exist, to find further issues
-            body = body - {CZ}
-        out: set[str] = set()
-        if EA in body:
-            out.add(CA)
-        if EZ in body:
-            out.add(CZ)
-        out |= {o for o in body if o in (RA, RZ)}
-        return frozenset(out)
-    if isinstance(s, ast.ParStmt):
-        branch_outs = [_outcomes_block(b, bound, sink) for b in s.blocks]
-        out: set[str] = set()
-        for branch in branch_outs:
-            out |= {o for o in branch if o not in _COMPLETIONS}
-        if s.mode == "or":
-            for branch in branch_outs:
-                out |= branch & _COMPLETIONS
-        elif s.mode == "and":
-            if all(branch & _COMPLETIONS for branch in branch_outs):
-                if all(CZ in branch for branch in branch_outs):
-                    out.add(CZ)
-                if any(CA in branch for branch in branch_outs):
-                    out.add(CA)
+        # completions, the offending zero-time one included, go round
+        # again; a break completes the loop
+        out = (body & _BREAKS) >> 2 | body & _RETURNS
+    elif kind is ast.ParStmt:
+        branches = [_outcomes_block(b, bound, sink) for b in s.blocks]
+        union = 0
+        for branch in branches:
+            union |= branch
+        out = union if s.mode == "or" else union & ~_COMPLETES
+        if s.mode == "and" and all(b & _COMPLETES for b in branches):
+            if all(b & CZ for b in branches):
+                out |= CZ
+            out |= union & CA
         # plain `par` never rejoins: no completions
-        if s.mode in ("or", "and") and not out:
+        if s.mode != "par" and not out:
             sink.par_never_rejoins(s)
-        return frozenset(out)
-    if isinstance(s, ast.DoBlock):
-        return _outcomes_block(s.body, bound, sink)
-    if isinstance(s, ast.DeclVar):
-        acc: Outcomes = frozenset({CZ})
+    elif kind is ast.DoBlock:
+        out = _outcomes_block(s.body, bound, sink)
+    elif kind is ast.DeclVar:
+        out = CZ
         for declarator in s.decls:
             if declarator.init is not None:
-                acc = _seq(acc, _setexp_outcomes(declarator.init, bound,
+                out = _seq(out, _setexp_outcomes(declarator.init, bound,
                                                  sink))
-        return acc
-    if isinstance(s, ast.Assign):
-        return _setexp_outcomes(s.value, bound, sink)
-    # declarations, emits, C calls, annotations, nothing: zero-time
-    return frozenset({CZ})
+    elif kind is ast.Assign:
+        out = _setexp_outcomes(s.value, bound, sink)
+    else:
+        return CZ
+    if out & _RETURNS and s.nid in bound.value_boundaries:
+        out = out & ~_RETURNS | (out & _RETURNS) >> 4
+    return out
 
-
-#: public aliases for the incremental analyzer (docs/ANALYSIS.md), which
-#: replicates the top-level `_outcomes_block` walk over memoized
-#: per-statement outcomes
-COMPLETIONS = _COMPLETIONS
-seq_outcomes = _seq
-
-
-def statement_outcomes(stmt: ast.Stmt, bound: BoundProgram,
-                       sink: BoundedSink) -> Outcomes:
-    """Outcome set of one top-level statement (value-boundary aware)."""
-    return _outcomes_stmt(stmt, bound, sink)

@@ -117,31 +117,3 @@ class Annotations:
                 return True
         return False
 
-
-def declaration_signature(stmt: ast.Stmt) -> tuple:
-    """The binder-visible exports of one top-level statement, as a
-    hashable value — empty for statements that declare nothing.
-
-    Two statements with equal signatures contribute the same
-    names/kinds/types to every later scope, so a statement whose own text
-    and whose predecessors' signatures are both unchanged binds the same
-    symbols.  The incremental analyzer keys its per-statement memo on
-    (content, environment signature) and re-runs dependents when a
-    predecessor's signature changes.
-    """
-    if isinstance(stmt, ast.DeclEvent):
-        return ("event", stmt.kind, str(stmt.type), tuple(stmt.names))
-    if isinstance(stmt, ast.DeclVar):
-        if stmt.array is None:
-            array: tuple = ()
-        elif isinstance(stmt.array, ast.Num):
-            array = ("array", stmt.array.value)
-        else:
-            array = ("array", "?")
-        return ("var", str(stmt.type), array,
-                tuple(d.name for d in stmt.decls))
-    if isinstance(stmt, ast.PureDecl):
-        return ("pure", tuple(stmt.names))
-    if isinstance(stmt, ast.DeterministicDecl):
-        return ("deterministic", tuple(stmt.names))
-    return ()

@@ -4,8 +4,10 @@ and drive it over stdio pipes, exactly as an editor would.
 Asserts the full loop: initialize handshake → didOpen publishes what
 ``repro lint --format json`` reports for the same text (every
 diagnostic's code and start position) → an incremental didChange
-re-publishes what lint reports for the edited text → hover answers with
-the static resource bounds → clean shutdown/exit.  A second document
+re-publishes what lint reports for the edited text, and so does one
+didChange carrying three ranged changes, each positioned in the text the
+earlier ones left → hover answers with the static resource bounds →
+clean shutdown/exit.  A second document
 holds a form feed in its first line, which the server must count as
 lint does: not as a line break; and an astral character in a comment
 before the reported ``x = 3``, which the server must count as two
@@ -152,6 +154,37 @@ def main() -> int:
         assert published(pub2) == linted(RACY.replace("x = 3", "x = 4"))
         print("didChange: ok, re-published", codes2)
 
+        # one didChange carrying three ranged changes, each positioned in
+        # the text the earlier ones produced: a line inserted above
+        # `x = 4;`, which moves to line 6; x = 4 → x = 5 there; and the
+        # second branch's `await A;`, now line 8, deleted
+        send({"jsonrpc": "2.0", "method": "textDocument/didChange",
+              "params": {
+                  "textDocument": {"uri": uri, "version": 3},
+                  "contentChanges": [
+                      {"range": {"start": {"line": 3, "character": 0},
+                                 "end": {"line": 3, "character": 0}},
+                       "text": "    // inserted\n"},
+                      {"range": {"start": {"line": 6, "character": 8},
+                                 "end": {"line": 6, "character": 9}},
+                       "text": "5"},
+                      {"range": {"start": {"line": 8, "character": 0},
+                                 "end": {"line": 9, "character": 0}},
+                       "text": ""}]}})
+        pub_multi = wait_for(
+            proc.stdout,
+            lambda m: m.get("method") == "textDocument/publishDiagnostics"
+            and m["params"]["uri"] == uri
+            and m["params"].get("version") == 3,
+            "multi-change re-publish")
+        multi = (RACY.replace("    x = 1;", "    // inserted\n    x = 1;")
+                 .replace("x = 3", "x = 5")
+                 .replace("with\n    await A;\n", "with\n"))
+        assert published(pub_multi) == linted(multi), (published(pub_multi),
+                                                       linted(multi))
+        print("multi-change didChange: ok, re-published",
+              published(pub_multi))
+
         # a comment appended to `x = 3;` (line 6, 0-based; UTF-16 unit
         # 17, code point 16) of a document whose first line holds a form
         # feed
@@ -184,7 +217,7 @@ def main() -> int:
 
         send({"jsonrpc": "2.0", "id": 2, "method": "textDocument/hover",
               "params": {"textDocument": {"uri": uri},
-                         "position": {"line": 3, "character": 4}}})
+                         "position": {"line": 4, "character": 4}}})
         hover = wait_for(proc.stdout, lambda m: m.get("id") == 2, "hover")
         value = hover["result"]["contents"]["value"]
         assert "trails<=" in value, value

@@ -1,11 +1,33 @@
-"""Bounded-execution analysis (§2.5): the paper's five examples and the
-outcome-lattice corners."""
+"""Bounded-execution analysis (§2.5): the paper's five examples, the
+outcome-lattice corners, and a digest of every finding on the repo's
+programs and their await-mutants."""
+
+import hashlib
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.diagnostics import Report
+from repro.analysis.passes import bounded_pass
 from repro.lang import parse
-from repro.lang.errors import BoundedError
+from repro.lang.ast import renumber
+from repro.lang.errors import BindError, BoundedError
 from repro.sema import bind, check_bounded
+
+ROOT = Path(__file__).parent.parent
+
+#: the repo's programs, under the names ``repro lint`` gives them
+LINT_DIRS = (("examples/ceu", "examples/ceu/"), ("tests/corpus", "corpus/"),
+             ("src/repro/apps/ceu", "apps/ceu/"))
+
+#: an ``await ...;`` statement, or the value of an assignment
+AWAIT = re.compile(r"\bawait\b[^;]*;")
+
+#: SHA-256 over the ``bounded_pass`` report of every program below
+BOUNDED_DIGEST = (
+    "cca3f5a1b1d9c30ae681abbe706f019f24bc153c156ad6468c9ed22c301d3cb6")
 
 
 def ok(src: str) -> None:
@@ -182,3 +204,50 @@ class TestValueBoundaries:
     def test_do_value_with_awaiting_return(self):
         ok("input void A;\nint v;\nloop do\nv = do\nawait A;\nreturn 1;"
            "\nend;\nend")
+
+
+def _bound_texts():
+    """The repo's programs that bind (22 of 23), each followed by its
+    await-mutants: every ``await ...;`` statement replaced by
+    ``nothing;`` and by ``await forever;``.  The programs themselves
+    have no §2.5 finding; the mutants tighten loops, cut blocks short
+    and keep parallels from rejoining."""
+    for rel, prefix in LINT_DIRS:
+        for path in sorted((ROOT / rel).glob("*.ceu")):
+            filename, src = prefix + path.name, path.read_text()
+            try:
+                yield filename, _bound(src, filename)
+            except BindError:
+                continue               # mario_game.ceu
+            for match in AWAIT.finditer(src):
+                if src[:match.start()].rstrip().endswith("="):
+                    continue           # `v = await X;` awaits a value
+                for stmt in ("nothing;", "await forever;"):
+                    yield filename, _bound(src[:match.start()] + stmt
+                                           + src[match.end():], filename)
+
+
+def _bound(text: str, filename: str):
+    program = parse(text, filename)
+    renumber(program)
+    return bind(program)
+
+
+def test_await_mutants_are_pinned():
+    """Every finding of the §2.5 walk, its emission order and the
+    tight-loop count, on 636 texts, are byte-identical to the digest
+    minted for them."""
+    digest = hashlib.sha256()
+    codes: Counter = Counter()
+    texts = 0
+    for filename, bound in _bound_texts():
+        report = Report(filename=filename)
+        tight = bounded_pass(bound, report)
+        emitted = [diag.code for diag in report.diagnostics]
+        digest.update(repr((tight, emitted)).encode())
+        digest.update(report.to_json().encode())
+        codes.update(emitted)
+        texts += 1
+    assert texts == 636
+    assert codes == {"CEU-E101": 50, "CEU-W301": 391, "CEU-W304": 136}
+    assert digest.hexdigest() == BOUNDED_DIGEST

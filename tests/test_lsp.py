@@ -100,6 +100,30 @@ def test_document_full_sync_and_utf16():
     assert doc.position_at(2) == {"line": 0, "character": 3}
 
 
+def _brute_position(text: str, offset: int) -> dict:
+    head = text[:offset]
+    line_head = head[head.rfind("\n") + 1:]
+    return {"line": head.count("\n"),
+            "character": sum(2 if ord(ch) > 0xFFFF else 1
+                             for ch in line_head)}
+
+
+def test_document_positions_at_every_offset():
+    """Both conversions agree with a count over the text at every offset,
+    after the open and after a ranged change that adds a line."""
+    opened = Document(URI, "a\U0001F600b\r\nc\fd\n\n")
+    changed = Document(URI, opened.text)
+    changed.apply([{"range": {"start": {"line": 1, "character": 1},
+                              "end": {"line": 1, "character": 2}},
+                    "text": "\U0001F600\nx"}], 2)
+    assert changed.text == "a\U0001F600b\r\nc\U0001F600\nxd\n\n"
+    for doc in (opened, changed):
+        for offset in range(len(doc.text) + 1):
+            position = _brute_position(doc.text, offset)
+            assert doc.position_at(offset) == position
+            assert doc.offset_at(position) == offset
+
+
 # --------------------------------------------------------------- lifecycle
 def test_initialize_capabilities():
     out = run_server(req(1, "initialize"),
@@ -245,7 +269,7 @@ def _opened(text: str, *requests) -> list:
 
 def _utf16_range(doc: Document, span: dict) -> dict:
     """The LSP range of a lint JSON span, through ``Document``."""
-    starts = doc._line_offsets()
+    starts = doc.line_starts
     return {"start": doc.position_at(starts[span["line"] - 1]
                                      + span["col"] - 1),
             "end": doc.position_at(starts[span["end_line"] - 1]
